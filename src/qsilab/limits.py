@@ -21,8 +21,9 @@ CIRCLE_CIRCUIT_MAX_N = 10
 #: Gram-matrix closed form for the cyclic-shift test.
 CIRCLE_FORMULA_MAX_N = 24
 
-#: Alignment enumeration stops at this many r-subsets.
-SUBSET_ENUM_MAX = 10**7
+#: Exact randomized-circle soundness: an input bound on the Burnside sum,
+#: whose binomials grow with n (about 10 ms at this n, 0.5 s at 10**5).
+RCIR_EXACT_MAX_N = 10_000
 
 #: Dense symmetric-subspace projector: the matrix has (dim**n)**2 entries,
 #: so this keeps it within the same ~512 MB budget as the circuits.

@@ -18,23 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations
+from functools import reduce
 from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from .identity_tests import TestKind, equal_prob_formula, run_circuit
 from .instances import QsiInstance, Verdict, verify_promise
-from .limits import SUBSET_ENUM_MAX, CapExceededError, max_amplitudes
+from .limits import CIRCLE_CIRCUIT_MAX_N, RCIR_EXACT_MAX_N, CapExceededError, max_amplitudes
 from .permgroup import Partition
 
 Policy = Literal["uniform", "canonical"]
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
-
-#: Table capacity for the vectorized alignment sweep (2^n masks).
-_MASK_TABLE_MAX_N = 24
 
 
 @dataclass(frozen=True)
@@ -153,26 +149,21 @@ def _block_labels_three(inst: QsiInstance) -> tuple[int, ...]:
     return inst.partition.labels()
 
 
-def _exact_initial(labels: tuple[int, ...], b: int) -> dict[int, Fraction]:
-    idx = labels[0] * b * b + labels[1] * b + labels[2]
-    return {idx: Fraction(1)}
-
-
-def _exact_swap(state: dict[int, Fraction], b: int, pair: tuple[int, int]) -> dict[int, Fraction]:
+def _exact_swap(state: dict[int, int], b: int, pair: tuple[int, int]) -> dict[int, int]:
     i, j = pair
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for idx, amp in state.items():
         digits = [idx // (b * b) % b, idx // b % b, idx % b]
         digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
         key = digits[0] * b * b + digits[1] * b + digits[2]
-        out[key] = out.get(key, Fraction(0)) + amp
+        out[key] = out.get(key, 0) + amp
     return out
 
 
-def _exact_add(s1: dict[int, Fraction], s2: dict[int, Fraction]) -> dict[int, Fraction]:
+def _exact_add(s1: dict[int, int], s2: dict[int, int]) -> dict[int, int]:
     out = dict(s1)
     for key, amp in s2.items():
-        val = out.get(key, Fraction(0)) + amp
+        val = out.get(key, 0) + amp
         if val:
             out[key] = val
         else:
@@ -180,17 +171,24 @@ def _exact_add(s1: dict[int, Fraction], s2: dict[int, Fraction]) -> dict[int, Fr
     return out
 
 
-def _exact_norm2(state: dict[int, Fraction]) -> Fraction:
-    return sum((amp * amp for amp in state.values()), Fraction(0))
+def _exact_norm2(state: dict[int, int]) -> int:
+    return sum(amp * amp for amp in state.values())
 
 
 def srs_exact(inst: QsiInstance, m: int, policy: Policy = "uniform") -> Fraction:
     """Exact YES probability of the m-round sequential swap protocol.
 
-    Branches exhaustively over the classical pair choices and measurement
-    outcomes, carrying unnormalized joint states with rational amplitudes;
-    the promise partition fixes the Gram structure, so the canonical basis
-    embedding is used regardless of any rotation on the stored states.
+    The protocol answers YES when all m swap tests pass, so the value is the
+    mean over the three equally likely first pairs of the product of the
+    conditional pass probabilities along the all-EQUAL branch. Passing the
+    test on pair (i, j) projects onto states symmetric under i <-> j, so the
+    two registers the uniform policy may keep are interchangeable: keeping
+    i and keeping j give post-states that are images of each other under
+    i <-> j, with the same pass probabilities from then on. Both policies
+    therefore follow the keep-the-second-register chain of
+    ``srs_canonical_trace`` and give the same value. The promise partition
+    fixes the Gram structure, so the canonical basis embedding is used
+    regardless of any rotation on the stored states.
 
     Raises ValueError, checked in this order, when m < 1, when the instance
     does not have exactly 3 states, when it has no promise partition, when
@@ -198,33 +196,10 @@ def srs_exact(inst: QsiInstance, m: int, policy: Policy = "uniform") -> Fraction
     unknown. A partition implies the promise, which ``QsiInstance`` enforces,
     so an instance without one reports the missing partition.
     """
-    if m < 1:
-        raise ValueError("round count must be at least 1")
-    labels = _block_labels_three(inst)
-    b = max(labels) + 1
+    traces = [srs_canonical_trace(inst, m, pair) for pair in _PAIRS]
     if policy not in ("uniform", "canonical"):
         raise ValueError(f"unknown policy {policy!r}")
-
-    def recurse(state: dict[int, Fraction], pair: tuple[int, int], rounds: int) -> Fraction:
-        norm2 = _exact_norm2(state)
-        merged = _exact_add(state, _exact_swap(state, b, pair))
-        pass_prob = _exact_norm2(merged) / (4 * norm2)
-        if pass_prob == 0:
-            return Fraction(0)
-        if rounds == 1:
-            return pass_prob
-        leftover = ({1, 2, 3} - set(pair)).pop()
-        if policy == "canonical":
-            nxt = (min(leftover, pair[1]), max(leftover, pair[1]))
-            return pass_prob * recurse(merged, nxt, rounds - 1)
-        total = Fraction(0)
-        for kept in pair:
-            nxt = (min(leftover, kept), max(leftover, kept))
-            total += recurse(merged, nxt, rounds - 1)
-        return pass_prob * total / 2
-
-    initial = _exact_initial(labels, b)
-    return sum((recurse(initial, pair, m) for pair in _PAIRS), Fraction(0)) / 3
+    return sum(math.prod(rnd.pass_prob for rnd in trace) for trace in traces) / 3
 
 
 class SrsRound(NamedTuple):
@@ -252,14 +227,13 @@ def srs_canonical_trace(
         raise ValueError("round count must be at least 1")
     labels = _block_labels_three(inst)
     b = max(labels) + 1
-    state = {k: Fraction(v) for k, v in _exact_initial(labels, b).items()}
+    state = {labels[0] * b * b + labels[1] * b + labels[2]: 1}
     pair = first_pair
     rounds: list[SrsRound] = []
     for _ in range(m):
         norm2 = _exact_norm2(state)
         state = _exact_add(state, _exact_swap(state, b, pair))
-        pass_prob = _exact_norm2(state) / (4 * norm2)
-        rounds.append(SrsRound(pair, pass_prob, {k: int(v) for k, v in state.items()}))
+        rounds.append(SrsRound(pair, Fraction(_exact_norm2(state), 4 * norm2), state))
         leftover = ({1, 2, 3} - set(pair)).pop()
         pair = (min(leftover, pair[1]), max(leftover, pair[1]))
     return rounds
@@ -293,44 +267,25 @@ def rcir_sample(inst: QsiInstance, rng: np.random.Generator) -> str:
     tau = rng.permutation(inst.n)
     permuted = _permuted_instance(inst, tau)
     n, d = permuted.n, permuted.dim
-    if n <= 10 and n * d**n <= max_amplitudes():
+    if n <= CIRCLE_CIRCUIT_MAX_N and n * d**n <= max_amplitudes():
         p_equal = run_circuit(TestKind.CIRCLE, permuted).p_equal
     else:
         p_equal = equal_prob_formula(TestKind.CIRCLE, permuted)
     return "YES" if rng.random() < p_equal else "NO"
 
 
-def _divisors_below(n: int) -> list[int]:
-    return [d for d in range(1, n) if n % d == 0]
-
-
-@lru_cache(maxsize=None)
-def _alignment_rep_sums(n: int) -> tuple[int, ...]:
-    """Sum over all r-subsets of the repetition number, indexed by r.
-
-    Enumerates every subset of the n-cycle as a bitmask and finds its minimal
-    rotation period among the divisors of n; vectorized so the n=24 table
-    (16.7M masks) builds in seconds.
-    """
-    masks = np.arange(1 << n, dtype=np.uint32)
-    sizes = np.bitwise_count(masks).astype(np.uint8)
-    full = np.uint32((1 << n) - 1)
-    period = np.full(masks.shape, n, dtype=np.uint8)
-    for d in _divisors_below(n):
-        rotated = ((masks << np.uint32(d)) | (masks >> np.uint32(n - d))) & full
-        np.minimum(period, np.where(rotated == masks, np.uint8(d), np.uint8(n)), out=period)
-    reps = n // period
-    # counts fit well under 2**53, so float64 bin sums are exact
-    sums = np.bincount(sizes, weights=reps.astype(np.float64), minlength=n + 1)
-    return tuple(int(v) for v in sums)
-
-
-def _rep_number_mask(mask: int, n: int) -> int:
-    full = (1 << n) - 1
-    for d in _divisors_below(n):
-        if ((mask << d) | (mask >> (n - d))) & full == mask:
-            return n // d
-    return 1
+def _totient(t: int) -> int:
+    """Euler's phi by trial division."""
+    result, rest, p = t, t, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
 
 
 def rcir_exact(n: int, r: int) -> Fraction:
@@ -338,23 +293,22 @@ def rcir_exact(n: int, r: int) -> Fraction:
     instance with r states in the distinguished block.
 
     Averages s(A)/n over all r-subsets A of the cycle, where s(A) counts the
-    cyclic shifts preserving A.
+    cyclic shifts preserving A. By Burnside's lemma the sum of s(A) counts
+    the (shift, subset) pairs with the subset fixed. A shift of order t cuts
+    the cycle into n/t orbits of length t and fixes the C(n/t, r/t) subsets
+    made of whole orbits when t divides r; phi(t) shifts have order t. So the
+    value is sum over t | gcd(n, r) of phi(t) C(n/t, r/t), over n C(n, r).
+
+    Raises ValueError unless 1 <= r <= n - 1, and CapExceededError when n
+    exceeds RCIR_EXACT_MAX_N.
     """
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be within 1..n-1, got r={r}, n={n}")
-    count = math.comb(n, r)
-    if count > SUBSET_ENUM_MAX:
-        raise CapExceededError(f"C({n},{r}) = {count} subsets exceeds {SUBSET_ENUM_MAX}")
-    if n <= _MASK_TABLE_MAX_N:
-        total = _alignment_rep_sums(n)[r]
-    else:
-        total = 0
-        for combo in combinations(range(n), r):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            total += _rep_number_mask(mask, n)
-    return Fraction(total, count * n)
+    if n > RCIR_EXACT_MAX_N:
+        raise CapExceededError(f"exact randomized circle capped at n={RCIR_EXACT_MAX_N}, got {n}")
+    g = math.gcd(n, r)
+    fixed = sum(_totient(t) * math.comb(n // t, r // t) for t in range(1, g + 1) if g % t == 0)
+    return Fraction(fixed, n * math.comb(n, r))
 
 
 def rcir_exact_for_instance(inst: QsiInstance) -> Fraction:
@@ -391,6 +345,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(
+            f"successes must be within 0..trials, got successes={successes}, trials={trials}"
+        )
     z2 = _WILSON_Z**2
     p = successes / trials
     denom = 1.0 + z2 / trials
@@ -404,12 +362,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def mc_run(
     trial: Callable[[np.random.Generator], bool], trials: int, base_seed: int
 ) -> McEstimate:
-    """Run independent trials with per-trial seed = base_seed XOR trial index."""
+    """Run independent trials; trial i draws from the stream seeded by the
+    pair (base_seed, i), so no two (base, trial) pairs share a stream."""
     if trials < 1:
         raise ValueError("trials must be positive")
     successes = 0
     for i in range(trials):
-        rng = np.random.default_rng(base_seed ^ i)
+        rng = np.random.default_rng([base_seed, i])
         if trial(rng):
             successes += 1
     return McEstimate(trials, successes, successes / trials, wilson_interval(successes, trials))

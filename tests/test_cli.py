@@ -150,6 +150,11 @@ class TestProtocolCommand:
         assert code == 2
         assert "partition" in err
 
+    def test_rcir_exact_above_cap_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "protocol", "rcir", "--exact", "--n", "10001", "--r", "1")
+        assert code == 3
+        assert "capped" in err
+
     def test_missing_inputs_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "protocol", "srs", "--exact")
         assert code == 2

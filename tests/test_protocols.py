@@ -7,7 +7,7 @@ import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
 from qsilab.instances import build_instance, haar_unitary, random_unstructured_instance
-from qsilab.limits import CapExceededError
+from qsilab.limits import RCIR_EXACT_MAX_N, CapExceededError
 from qsilab.permgroup import Partition
 from qsilab.bounds import eq2_bound
 from qsilab.protocols import (
@@ -44,6 +44,50 @@ ALL_ORTH_EXACT = {
     5: Fraction(43, 256),
     6: Fraction(171, 1024),
 }
+
+
+THREE_STATE_PARTITIONS = (
+    [[1, 2, 3]],
+    [[1, 2], [3]],
+    [[1, 3], [2]],
+    [[2, 3], [1]],
+    [[1], [2], [3]],
+)
+
+
+def branching_srs(inst, m: int, policy: str) -> Fraction:
+    """Oracle: branch over every pair the policy may choose after each round.
+
+    Amplitudes are kept on label tuples (one label per register) with the
+    halving dropped; the uniform policy averages over both kept registers,
+    the canonical one keeps the second. Costs 3 * 2^(m-1) branches.
+    """
+
+    def swapped(state, pair):
+        out = {}
+        for key, amp in state.items():
+            k = list(key)
+            k[pair[0] - 1], k[pair[1] - 1] = k[pair[1] - 1], k[pair[0] - 1]
+            out[tuple(k)] = out.get(tuple(k), 0) + amp
+        return out
+
+    def norm2(state):
+        return sum(amp * amp for amp in state.values())
+
+    def recurse(state, pair, rounds):
+        merged = dict(state)
+        for key, amp in swapped(state, pair).items():
+            merged[key] = merged.get(key, 0) + amp
+        pass_prob = Fraction(norm2(merged), 4 * norm2(state))
+        if pass_prob == 0 or rounds == 1:
+            return pass_prob
+        leftover = ({1, 2, 3} - set(pair)).pop()
+        kept = pair if policy == "uniform" else pair[1:]
+        branches = [recurse(merged, tuple(sorted((leftover, k))), rounds - 1) for k in kept]
+        return pass_prob * sum(branches, Fraction(0)) / len(branches)
+
+    start = {inst.partition.labels(): 1}
+    return sum((recurse(start, pair, m) for pair in ((1, 2), (1, 3), (2, 3))), Fraction(0)) / 3
 
 
 def _sigma_bound(p_hat: float, p: Fraction, trials: int, k: float = 5.0) -> bool:
@@ -120,6 +164,13 @@ class TestSrsExact:
         for inst in shapes:
             for m in range(1, 6):
                 assert srs_exact(inst, m, "uniform") == srs_exact(inst, m, "canonical")
+
+    @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
+    def test_matches_uniform_branching_oracle(self, blocks):
+        inst = build_instance(Partition.of(blocks), dim=3)
+        for m in range(1, 9):
+            for policy in ("uniform", "canonical"):
+                assert srs_exact(inst, m, policy) == branching_srs(inst, m, policy)
 
     def test_two_identical_labelings_agree(self):
         for blocks in ([[1, 2], [3]], [[2, 3], [1]], [[1, 3], [2]]):
@@ -274,6 +325,24 @@ def burnside_rcir(n: int, r: int) -> Fraction:
     return Fraction(total, math.comb(n, r) * n)
 
 
+def mask_table_rcir(n: int) -> list[Fraction]:
+    """Oracle indexed by r: sweep all 2^n subsets of the n-cycle as bitmasks.
+
+    Each mask's minimal rotation period is found among the proper divisors
+    of n, and its n // period preserving shifts are summed per subset size.
+    """
+    masks = np.arange(1 << n, dtype=np.uint32)
+    full = np.uint32((1 << n) - 1)
+    period = np.full(masks.shape, n, dtype=np.int64)
+    for d in (d for d in range(1, n) if n % d == 0):
+        rotated = ((masks << np.uint32(d)) | (masks >> np.uint32(n - d))) & full
+        period = np.minimum(period, np.where(rotated == masks, d, n))
+    sizes = np.bitwise_count(masks)
+    shifts = np.bincount(sizes, weights=n // period, minlength=n + 1)
+    # the sums stay far below 2**53, so the float64 bins are exact
+    return [Fraction(int(shifts[r]), math.comb(n, r) * n) for r in range(n + 1)]
+
+
 class TestRcirExact:
     def test_examples(self):
         assert rcir_exact(4, 2) == Fraction(1, 3)
@@ -290,6 +359,12 @@ class TestRcirExact:
             for r in range(1, n // 2 + 1):
                 assert rcir_exact(n, r) == burnside_rcir(n, r)
 
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_matches_mask_table_oracle(self, n):
+        table = mask_table_rcir(n)
+        for r in range(1, n):
+            assert rcir_exact(n, r) == table[r]
+
     def test_complement_symmetry(self):
         for n in (4, 6, 9, 12, 15):
             for r in range(1, n):
@@ -305,8 +380,11 @@ class TestRcirExact:
                 assert rcir_exact(n, r) <= eq2_bound(n, r).value
 
     def test_large_n_beyond_mask_table(self):
-        # n=26 exceeds the vectorized table, exercising the subset fallback
+        # n=26 is beyond a practical 2^n bitmask table, so the orbit count checks it
         assert rcir_exact(26, 2) == burnside_rcir(26, 2)
+
+    def test_forty_matches_orbit_count(self):
+        assert rcir_exact(40, 20) == burnside_rcir(40, 20)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -314,7 +392,7 @@ class TestRcirExact:
         with pytest.raises(ValueError):
             rcir_exact(5, 5)
         with pytest.raises(CapExceededError):
-            rcir_exact(40, 20)
+            rcir_exact(RCIR_EXACT_MAX_N + 1, 1)
 
 
 class TestRcirExactForInstance:
@@ -369,6 +447,19 @@ class TestMcRun:
         lo, hi = wilson_interval(s, t)
         assert abs(lo - (center - half)) <= 1e-12
         assert abs(hi - (center + half)) <= 1e-12
+
+    @pytest.mark.parametrize("successes,trials", [(11, 10), (-1, 10), (3000, 2000)])
+    def test_wilson_interval_rejects_successes_out_of_range(self, successes, trials):
+        with pytest.raises(ValueError, match="successes.*trials"):
+            wilson_interval(successes, trials)
+
+    def test_adjacent_bases_draw_disjoint_streams(self):
+        def first_draws(base_seed):
+            draws = []
+            mc_run(lambda rng: draws.append(rng.random()) is None, 64, base_seed=base_seed)
+            return set(draws)
+
+        assert first_draws(0).isdisjoint(first_draws(1))
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
