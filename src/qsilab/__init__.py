@@ -76,9 +76,7 @@ from .qmath import (
     JointState,
     PureState,
     basis_state,
-    dft,
     inner,
-    measure_first_register,
     mixture,
     pure_density,
     tensor,

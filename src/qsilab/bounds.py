@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .identity_tests import TestKind, run_circuit
+from .identity_tests import TestKind, permanent, run_circuit
 from .instances import QsiInstance
 from .limits import PROJECTOR_MAX_DIM, SYM_ENUM_MAX_N, CapExceededError
 from .qmath import DensityMatrix, PureState, basis_state, mixture, tensor, trace_distance
@@ -49,7 +49,8 @@ def two_block_soundness(n: int, l: int) -> RationalBound:
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be within 1..n-1, got {l}")
     value = Fraction(math.factorial(l) * math.factorial(n - l), math.factorial(n))
-    assert value <= Fraction(1, n)
+    if value > Fraction(1, n):
+        raise ArithmeticError(f"two-block ratio {value} exceeds 1/{n}")
     return RationalBound.of(value)
 
 
@@ -161,7 +162,8 @@ def symmetric_projector(dim: int, n: int) -> np.ndarray:
 
 
 def ps_lower_bound(inst: QsiInstance) -> float:
-    """Average over all permutations of the squared Gram-entry products.
+    """perm(|G|^2)/n!, the average over all permutations of the squared
+    Gram-entry products.
 
     Equals the overlap of the instance's product state with the symmetric
     subspace, computed from the n x n Gram matrix only.
@@ -169,16 +171,7 @@ def ps_lower_bound(inst: QsiInstance) -> float:
     n = inst.n
     if n > SYM_ENUM_MAX_N:
         raise CapExceededError(f"permutation average capped at n={SYM_ENUM_MAX_N}")
-    g2 = [tuple(float(v) for v in row) for row in np.abs(inst.gram()) ** 2]
-    total = 0.0
-    for images in _lex_permutations(range(n)):
-        term = 1.0
-        for i, j in enumerate(images):
-            term *= g2[i][j]
-            if term == 0.0:
-                break
-        total += term
-    return total / math.factorial(n)
+    return float(permanent(np.abs(inst.gram()) ** 2).real) / math.factorial(n)
 
 
 @dataclass(frozen=True)

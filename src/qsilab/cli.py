@@ -7,8 +7,9 @@ criteria suite).
 
 Output is CSV to --out or stdout; --json prints the run record instead.
 Every run is replayable from its parameters and seed: identical command and
-seed produce byte-identical CSV. Exit codes: 0 ok, 2 bad input, 3 size cap
-exceeded, 4 output I/O failure.
+seed produce byte-identical CSV. Exit codes: 0 ok, 1 a selftest criterion
+failed, 2 bad input or a value that is not a real number (ArithmeticError),
+3 size cap exceeded or out of memory, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -422,10 +423,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         columns, rows, outputs = _RUNNERS[args.command](args, seed)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall_ms = int(round((time.perf_counter() - started) * 1000))

@@ -4,11 +4,15 @@ even-permutation (alternation).
 Each test is available two ways. `run_circuit` simulates the five-step
 procedure densely: prepare control |0> (x) states, Fourier-transform the
 control, apply the controlled register permutation, invert the transform, and
-measure the control, where outcome 0 means EQUAL. `equal_prob_formula`
-evaluates the same EQUAL probability from the n x n Gram matrix as the group
-average of inner-product products, which never touches a dim^n-sized object.
+measure the control, where outcome 0 means EQUAL. The first transform puts
+the same content in every control row, so the simulation stacks the permuted
+copies of the content and runs one FFT along the control axis.
+`equal_prob_formula` evaluates the same EQUAL probability from the n x n Gram
+matrix G, which never touches a dim^n-sized object: perm(G)/n! for the
+permutation test, (perm(G) + det(G))/n! for the alternation test, and the
+mean of the n shifted-diagonal products of G for the swap and circle tests.
 For promise-structured instances `equal_prob_rational` gives the probability
-as an exact fraction (stabilizer count over group order).
+as an exact fraction in closed form from the block structure.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from math import factorial, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +36,10 @@ from .limits import (
     max_amplitudes,
 )
 from .permgroup import Permutation, cycle_power, perm_table, sign_table
-from .qmath import JointState, dft, measure_first_register
+from .qmath import MEASURE_EPS, JointState
 
-#: Imaginary parts of the group-averaged Gram sum above this are a bug.
+#: Imaginary parts of the Gram-matrix formula above this are a bug.
 FORMULA_IMAG_ATOL = 1e-10
-
-_FORMULA_CHUNK = 200_000
 
 
 class TestKind(Enum):
@@ -77,25 +80,15 @@ def _check_kind_n(kind: TestKind, n: int) -> None:
         )
 
 
-def _group_rows(kind: TestKind, n: int) -> np.ndarray:
-    """One-line rows of the control group, identity row first."""
-    _check_kind_n(kind, n)
-    if kind is TestKind.SWAP:
-        return np.array([[1, 2], [2, 1]], dtype=np.int8)
-    if kind is TestKind.CIRCLE:
-        base = np.arange(n)
-        return np.stack([(base + k) % n + 1 for k in range(n)]).astype(np.int8)
-    if kind is TestKind.PERMUTATION:
-        return perm_table(n)
-    return perm_table(n)[sign_table(n) == 1]
-
-
 def control_group(kind: TestKind, n: int) -> list[Permutation]:
     """The permutations applied under control, element 0 always the identity."""
-    if kind is TestKind.CIRCLE:
-        _check_kind_n(kind, n)
+    _check_kind_n(kind, n)
+    if kind in (TestKind.SWAP, TestKind.CIRCLE):
         return [cycle_power(n, k) for k in range(n)]
-    return [Permutation(tuple(int(v) for v in row)) for row in _group_rows(kind, n)]
+    rows = perm_table(n)
+    if kind is TestKind.ALTERNATION:
+        rows = rows[sign_table(n) == 1]
+    return [Permutation(tuple(int(v) for v in row)) for row in rows]
 
 
 def _circuit_cap(kind: TestKind, n: int, dim: int, group_size: int) -> None:
@@ -116,53 +109,62 @@ def _circuit_cap(kind: TestKind, n: int, dim: int, group_size: int) -> None:
 
 
 def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
-    """Dense simulation of the identity test; works on arbitrary states."""
+    """Dense simulation of the identity test; works on arbitrary states.
+
+    The Fourier transform of control |0> gives every control row the content
+    over sqrt(|G|). Row i then holds the content with its registers permuted
+    by group element i, and the inverse transform is an FFT along the control
+    axis divided by |G|. Only the outcome-0 post-state is built.
+    """
     n, d = inst.n, inst.dim
     group = control_group(kind, n)
     size = len(group)
     _circuit_cap(kind, n, d, size)
 
     content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
-    joint = np.zeros((size,) + (d,) * n, dtype=complex)
-    joint[0] = content
-
-    fourier = dft(size)
-    joint = np.tensordot(fourier, joint, axes=(1, 0))
-    for i, p in enumerate(group):
-        # register m receives the state formerly at p(m): coordinate axes
-        # permute by the one-line images
-        axes = [v - 1 for v in p.images]
-        joint[i] = joint[i].transpose(axes).copy()
-    joint = np.tensordot(fourier.conj().T, joint, axes=(1, 0))
-
-    measured = measure_first_register(JointState((size,) + (d,) * n, joint.ravel()))
-    distribution = tuple((outcome, prob) for outcome, prob, _ in measured)
-    p_equal = 0.0
-    post_equal = None
-    for outcome, prob, post in measured:
-        if outcome == 0:
-            p_equal = prob
-            content_amps = post.amps.reshape(size, -1)[0]
-            post_equal = JointState((d,) * n, content_amps)
-            break
+    # register m receives the state formerly at p(m): coordinate axes
+    # permute by the one-line images
+    joint = np.stack([content.transpose([v - 1 for v in p.images]) for p in group])
+    rows = np.fft.fft(joint.reshape(size, -1), axis=0) / size
+    probs = (np.abs(rows) ** 2).sum(axis=1)
+    distribution = tuple((i, float(p)) for i, p in enumerate(probs) if p >= MEASURE_EPS)
+    p_equal = float(probs[0])
+    if p_equal < MEASURE_EPS:
+        return TestResult(0.0, None, distribution)
+    post_equal = JointState((d,) * n, rows[0] / np.sqrt(p_equal))
     return TestResult(p_equal, post_equal, distribution)
 
 
-def equal_prob_formula(kind: TestKind, inst: QsiInstance) -> float:
-    """EQUAL probability as the group average of Gram-entry products.
+def permanent(a: np.ndarray) -> complex:
+    """Permanent of a square matrix by Glynn's formula.
 
-    Accepts arbitrary (including unstructured) instances; the group is closed
-    under inverses so the averaged sum is real up to float error.
+    perm(A) = 2^(1-n) sum_s (prod_k s_k) prod_j (sum_i s_i A[i, j]) over the
+    sign vectors s with s_(n-1) = +1, evaluated as one (2^(n-1), n) product.
+    """
+    n = len(a)
+    signs = 1 - 2 * ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n)) & 1)
+    return (signs.prod(axis=1) * (signs @ a).prod(axis=1)).sum() / 2 ** (n - 1)
+
+
+def equal_prob_formula(kind: TestKind, inst: QsiInstance) -> float:
+    """EQUAL probability from the Gram matrix G.
+
+    The test accepts with the group average of prod_i G[i, p(i)]. Over the
+    symmetric group the sum is perm(G); over the alternating group it is
+    (perm(G) + det(G))/2; over the cyclic shifts it is n shifted-diagonal
+    products. Accepts arbitrary (including unstructured) instances; each
+    group is closed under inverses, so the value is real up to float error.
     """
     n = inst.n
-    rows = _group_rows(kind, n)
+    _check_kind_n(kind, n)
     gram = inst.gram()
-    cols = np.arange(n)
-    total = 0.0 + 0.0j
-    for start in range(0, len(rows), _FORMULA_CHUNK):
-        idx = rows[start : start + _FORMULA_CHUNK].astype(np.intp) - 1
-        total += gram[cols[None, :], idx].prod(axis=1).sum()
-    p = total / len(rows)
+    if kind is TestKind.PERMUTATION:
+        p = permanent(gram) / factorial(n)
+    elif kind is TestKind.ALTERNATION:
+        p = (permanent(gram) + np.linalg.det(gram)) / factorial(n)
+    else:
+        cols = np.arange(n)
+        p = gram[cols, (cols + cols[:, None]) % n].prod(axis=1).mean()
     if abs(p.imag) > FORMULA_IMAG_ATOL:
         raise ArithmeticError(f"group average has imaginary part {p.imag:.3g}")
     return float(p.real)
@@ -171,16 +173,26 @@ def equal_prob_formula(kind: TestKind, inst: QsiInstance) -> float:
 def equal_prob_rational(kind: TestKind, inst: QsiInstance) -> Fraction:
     """Exact EQUAL probability for a promise-structured instance.
 
-    Each group element contributes 1 when it setwise-stabilizes every block
-    and 0 otherwise, so the probability is stabilizer count / group order.
+    Each group element contributes 1 when it maps every block onto itself
+    and 0 otherwise, so the probability is the stabilizer's share of the
+    group. In the symmetric group that share is prod(l_i!)/n! over the block
+    sizes l_i. A block of two or more puts a transposition in the stabilizer,
+    so exactly half of it is even and the alternating group gives the same
+    share; with every block a singleton only the identity is left, 2/n!. A
+    cyclic shift fixes the block labels exactly when it is a multiple of
+    their period, so the swap and circle tests give 1/period.
     """
     if inst.partition is None:
         raise ValueError("exact probability needs a promise-structured instance")
     n = inst.n
-    rows = _group_rows(kind, n)
-    labels = np.array(inst.partition.labels())
-    stabilizes = (labels[rows.astype(np.intp) - 1] == labels[np.newaxis, :]).all(axis=1)
-    return Fraction(int(stabilizes.sum()), len(rows))
+    _check_kind_n(kind, n)
+    if kind in (TestKind.SWAP, TestKind.CIRCLE):
+        labels = inst.partition.labels()
+        return Fraction(1, next(k for k in range(1, n + 1) if labels[k:] + labels[:k] == labels))
+    sizes = [len(b) for b in inst.partition.blocks]
+    if kind is TestKind.ALTERNATION and max(sizes) == 1:
+        return Fraction(2, factorial(n))
+    return Fraction(prod(factorial(size) for size in sizes), factorial(n))
 
 
 class RepetitionSet(NamedTuple):

@@ -9,7 +9,9 @@ import os
 #: Default budget for dense complex amplitude vectors (~256 MB of complex128).
 DEFAULT_MAX_AMPS = 2**24
 
-#: Full symmetric-group enumeration stops here (10! = 3,628,800).
+#: Input cap on n for the permutation and alternation tests' permanent
+#: formula and exact rationals, and for ps_lower_bound's permanent. The group
+#: tables and enumerations in permgroup (10! = 3,628,800 rows) stop here too.
 SYM_ENUM_MAX_N = 10
 
 #: Circuit simulation with an n!-dimensional control register (720 at n=6).

@@ -1,4 +1,8 @@
-"""Dense complex linear algebra for small multi-register quantum systems.
+"""Dense complex linear algebra for small multi-register quantum systems:
+pure and joint states, tensor and inner products, density matrices and the
+trace distance. The control-register Fourier transform and measurement of the
+identity-test circuit are done in `identity_tests.run_circuit`, with
+MEASURE_EPS from here.
 
 All value objects are immutable after construction and every operation is a
 pure function, so everything here is safe for concurrent reads.
@@ -109,38 +113,6 @@ def inner(a: PureState, b: PureState) -> complex:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def dft(n: int) -> np.ndarray:
-    """n x n discrete Fourier transform with entry (j, k) = w^(jk)/sqrt(n).
-
-    Uses w = exp(+2*pi*i/n); the inverse is the conjugate transpose.
-    """
-    if n < 1:
-        raise ValueError("DFT size must be at least 1")
-    j = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-
-
-def measure_first_register(s: JointState) -> list[tuple[int, float, JointState]]:
-    """Projectively measure the first register in the computational basis.
-
-    Returns (outcome, probability, post_state) triples in increasing outcome
-    order; the post state is the renormalized projection of the full joint
-    state. Outcomes with probability below MEASURE_EPS are omitted.
-    """
-    n0 = s.factor_dims[0]
-    block = s.amps.reshape(n0, -1)
-    probs = (np.abs(block) ** 2).sum(axis=1)
-    results = []
-    for outcome in range(n0):
-        p = float(probs[outcome])
-        if p < MEASURE_EPS:
-            continue
-        post = np.zeros_like(block)
-        post[outcome] = block[outcome] / np.sqrt(p)
-        results.append((outcome, p, JointState(s.factor_dims, post.reshape(-1))))
-    return results
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,7 @@ from .instances import (
     random_structured_instance,
     random_unstructured_instance,
 )
-from .permgroup import Partition
+from .permgroup import Partition, stabilizer_count
 from .protocols import (
     mc_run,
     rcir_exact,
@@ -136,14 +136,14 @@ def criterion_3() -> CriterionResult:
         for l in range(1, n):
             want = two_block_soundness(n, l).value
             inst = _two_block(n, l)
-            got_perm = equal_prob_rational(TestKind.PERMUTATION, inst)
-            if got_perm != want:
-                problems.append(f"permutation n={n} l={l}: {got_perm} != {want}")
-            checked += 1
+            groups = [(TestKind.PERMUTATION, "sym", math.factorial(n))]
             if n >= 3:
-                got_alt = equal_prob_rational(TestKind.ALTERNATION, inst)
-                if got_alt != want:
-                    problems.append(f"alternation n={n} l={l}: {got_alt} != {want}")
+                groups.append((TestKind.ALTERNATION, "alt", math.factorial(n) // 2))
+            for kind, group, order in groups:
+                counted = Fraction(stabilizer_count(inst.partition, group), order)
+                got = equal_prob_rational(kind, inst)
+                if counted != want or got != want:
+                    problems.append(f"{kind.value} n={n} l={l}: {counted} (count), {got} != {want}")
                 checked += 1
     if equal_prob_rational(TestKind.PERMUTATION, _two_block(3, 2)) != Fraction(1, 3):
         problems.append("(n,l)=(3,2) is not exactly 1/3")

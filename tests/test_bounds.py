@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
+from oracles import lex_ps_lower_bound
 from qsilab.bounds import (
     CASE_FULL_R,
     CASE_HALF_R,
@@ -22,7 +23,11 @@ from qsilab.bounds import (
     two_sided_gap_check,
 )
 from qsilab.identity_tests import TestKind, equal_prob_formula, equal_prob_rational
-from qsilab.instances import build_instance, random_structured_instance
+from qsilab.instances import (
+    build_instance,
+    random_structured_instance,
+    random_unstructured_instance,
+)
 from qsilab.limits import CapExceededError
 from qsilab.permgroup import Partition
 from qsilab.qmath import pure_density, tensor
@@ -216,6 +221,14 @@ class TestPsLowerBound:
                 if kind is TestKind.SWAP and inst.n != 2:
                     continue
                 assert equal_prob_formula(kind, inst) >= floor - 1e-9
+
+    def test_matches_lex_permutation_oracle(self):
+        cases = [two_block(5, 2), all_orthogonal(4), yes_instance(6)]
+        for n in range(2, 9):
+            cases.append(random_structured_instance(n, seed=60 + n, rotate=True))
+            cases.append(random_unstructured_instance(n, 2, seed=70 + n))
+        for inst in cases:
+            assert abs(ps_lower_bound(inst) - lex_ps_lower_bound(inst)) <= 1e-12
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

@@ -93,6 +93,26 @@ class TestTestCommand:
         assert code == 3
         assert "capped" in err
 
+    def test_non_real_formula_exits_2(self, capsys, orth_pair, monkeypatch):
+        def non_real(kind, inst):
+            raise ArithmeticError("group average has imaginary part 0.5")
+
+        monkeypatch.setattr("qsilab.cli.equal_prob_formula", non_real)
+        code, _, err = run_cli(capsys, "test", "--kind", "swap", "--instance", orth_pair,
+                               "--mode", "formula")
+        assert code == 2
+        assert err == "error: group average has imaginary part 0.5\n"
+
+    def test_out_of_memory_exits_3(self, capsys, orth_pair, monkeypatch):
+        def no_memory(kind, inst):
+            raise MemoryError
+
+        monkeypatch.setattr("qsilab.cli.run_circuit", no_memory)
+        code, _, err = run_cli(capsys, "test", "--kind", "swap", "--instance", orth_pair,
+                               "--mode", "circuit")
+        assert code == 3
+        assert err == "error: out of memory\n"
+
     def test_unwritable_output_exits_4(self, capsys, orth_pair, tmp_path):
         target = tmp_path / "no_such_dir" / "out.csv"
         code, _, _ = run_cli(capsys, "test", "--kind", "swap", "--instance", orth_pair,

@@ -1,15 +1,26 @@
 import math
 from fractions import Fraction
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import two_block, yes_instance
+from oracles import (
+    dense_run_circuit,
+    group_sum_formula,
+    set_partitions,
+    shift_count_rational,
+)
 from qsilab.identity_tests import (
     TestKind,
     control_group,
     equal_prob_formula,
     equal_prob_rational,
+    permanent,
     repetition_set,
     run_circuit,
 )
@@ -26,6 +37,30 @@ from qsilab.limits import CapExceededError
 from qsilab.permgroup import Partition, cycle_power, enumerate_alt, enumerate_sym, stabilizer_count
 
 ALL_KINDS = [TestKind.SWAP, TestKind.CIRCLE, TestKind.PERMUTATION, TestKind.ALTERNATION]
+FLAVORS = ["plain", "rotated", "unstructured"]
+
+
+def flavored_instance(flavor: str, n: int, seed: int, dim: int = 2):
+    """A plain or rotated promise instance, or arbitrary states."""
+    if flavor == "unstructured":
+        return random_unstructured_instance(n, dim, seed=seed)
+    return random_structured_instance(
+        n, seed=seed, rotate=flavor == "rotated", dim=dim, max_blocks=3
+    )
+
+
+def partition_of_labels(labels):
+    return Partition.of(
+        [[i + 1 for i, lab in enumerate(labels) if lab == b] for b in range(max(labels) + 1)]
+    )
+
+
+def circuit_cases():
+    for kind in ALL_KINDS:
+        for n in [2] if kind is TestKind.SWAP else range(2, 6):
+            for dim in (2, 3):
+                yield kind, n, dim
+    yield TestKind.PERMUTATION, 6, 2
 
 
 class TestControlGroup:
@@ -149,6 +184,95 @@ class TestEqualProbFormula:
         inst = yes_instance(11)
         with pytest.raises(CapExceededError):
             equal_prob_formula(TestKind.PERMUTATION, inst)
+
+
+class TestPermanent:
+    def test_small_matrices(self):
+        assert permanent(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
+        assert permanent(np.ones((5, 5))) == pytest.approx(120.0, abs=1e-12)
+        assert permanent(np.array([[7.0]])) == pytest.approx(7.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_permutation_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = sum(np.prod([a[i, p[i]] for i in range(n)]) for p in permutations(range(n)))
+        assert abs(permanent(a) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestCircuitMatchesDenseOracle:
+    @pytest.mark.parametrize("kind,n,dim", list(circuit_cases()))
+    def test_distribution_and_post_state(self, kind, n, dim):
+        for flavor in ("rotated", "unstructured"):
+            inst = flavored_instance(flavor, n, seed=500 + 10 * n + dim, dim=dim)
+            got, want = run_circuit(kind, inst), dense_run_circuit(kind, inst)
+            got_dist, want_dist = dict(got.outcome_distribution), dict(want.outcome_distribution)
+            for outcome in got_dist.keys() | want_dist.keys():
+                assert abs(got_dist.get(outcome, 0.0) - want_dist.get(outcome, 0.0)) <= 1e-12
+            assert abs(got.p_equal - want.p_equal) <= 1e-12
+            assert got.post_equal.factor_dims == want.post_equal.factor_dims
+            assert np.max(np.abs(got.post_equal.amps - want.post_equal.amps)) <= 1e-12
+
+
+class TestFormulaMatchesGroupSum:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_up_to_nine(self, kind):
+        for n in [2] if kind is TestKind.SWAP else range(2, 10):
+            for flavor in FLAVORS:
+                inst = flavored_instance(flavor, n, seed=700 + n)
+                want = group_sum_formula(kind, inst)
+                assert abs(equal_prob_formula(kind, inst) - want.real) <= 1e-11
+
+    @pytest.mark.parametrize("kind", ALL_KINDS[1:])
+    def test_ten(self, kind):
+        rotated_yes = build_instance(
+            Partition.of([list(range(1, 11))]), dim=2, rotation=haar_unitary(2, 11)
+        )
+        cases = [rotated_yes, flavored_instance("rotated", 10, seed=710),
+                 flavored_instance("unstructured", 10, seed=711)]
+        for inst in cases:
+            want = group_sum_formula(kind, inst)
+            assert abs(equal_prob_formula(kind, inst) - want.real) <= 1e-11
+
+
+class TestRationalMatchesEnumeration:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_stabilizer_share_on_every_partition(self, n):
+        for labels in set_partitions(n):
+            part = partition_of_labels(labels)
+            inst = build_instance(part, dim=part.block_count)
+            sym = Fraction(stabilizer_count(part, "sym"), math.factorial(n))
+            alt = Fraction(stabilizer_count(part, "alt"), math.factorial(n) // 2)
+            assert equal_prob_rational(TestKind.PERMUTATION, inst) == sym
+            assert equal_prob_rational(TestKind.ALTERNATION, inst) == alt
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shift_share_on_every_label_sequence(self, n):
+        kinds = [TestKind.SWAP, TestKind.CIRCLE] if n == 2 else [TestKind.CIRCLE]
+        for labels in set_partitions(n):
+            part = partition_of_labels(labels)
+            inst = build_instance(part, dim=part.block_count)
+            for kind in kinds:
+                assert equal_prob_rational(kind, inst) == shift_count_rational(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    n=st.integers(2, 5),
+    flavor=st.sampled_from(FLAVORS),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_circuit_formula_group_sum_and_rational_agree(kind, n, flavor, seed):
+    if kind is TestKind.SWAP:
+        n = 2
+    inst = flavored_instance(flavor, n, seed)
+    circuit = run_circuit(kind, inst).p_equal
+    formula = equal_prob_formula(kind, inst)
+    assert abs(circuit - formula) <= 1e-10
+    assert abs(formula - group_sum_formula(kind, inst).real) <= 1e-12
+    if inst.partition is not None:
+        assert abs(formula - float(equal_prob_rational(kind, inst))) <= 1e-10
 
 
 class TestEqualProbRational:

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd_density
+from oracles import dft, measure_first_register
 from qsilab.qmath import (
     DensityMatrix,
     JointState,
     PureState,
     basis_state,
-    dft,
     inner,
-    measure_first_register,
     mixture,
     pure_density,
     tensor,
