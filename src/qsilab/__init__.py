@@ -59,16 +59,15 @@ from .permgroup import (
 )
 from .protocols import (
     McEstimate,
-    ProtocolOutcome,
     SrsClosedForm,
     mc_run,
+    rcir_batch,
     rcir_exact,
     rcir_exact_for_instance,
-    rcir_sample,
+    srs_batch,
     srs_canonical_trace,
     srs_closed_form,
     srs_exact,
-    srs_sample,
     wilson_interval,
 )
 from .qmath import (

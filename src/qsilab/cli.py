@@ -38,16 +38,16 @@ from .bounds import (
 )
 from .identity_tests import TestKind, equal_prob_formula, equal_prob_rational, run_circuit
 from .instances import QsiInstance, load_instance, build_instance
-from .limits import CapExceededError
+from .limits import CIRCLE_FORMULA_MAX_N, CapExceededError
 from .permgroup import Partition
 from .protocols import (
     mc_run,
+    rcir_batch,
     rcir_exact,
     rcir_exact_for_instance,
-    rcir_sample,
+    srs_batch,
     srs_closed_form,
     srs_exact,
-    srs_sample,
 )
 from .selftest import run_all
 
@@ -134,30 +134,40 @@ def _cmd_test(args, seed: int) -> tuple[list[str], list[dict], dict]:
     return columns, [row], dict(row)
 
 
-def _protocol_trial(args, inst: QsiInstance | None) -> Callable:
+def _protocol_sampler(args, inst: QsiInstance) -> Callable:
     if args.protocol == "srs":
-        m = args.m
-        return lambda rng: srs_sample(inst, m, rng).verdict == "YES"
-    return lambda rng: rcir_sample(inst, rng) == "YES"
+        return lambda rng, k: srs_batch(inst, args.m, rng, k)
+    return lambda rng, k: rcir_batch(inst, rng, k)
+
+
+def _check_protocol_args(args) -> None:
+    """Reject out-of-range flags before any instance is loaded or built."""
+    if not args.exact and args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if args.protocol == "srs" and args.m < 1:
+        raise InputError(f"--m must be at least 1, got {args.m}")
+    if args.instance is not None:
+        return
+    if args.protocol != "rcir" or args.n is None or args.r is None:
+        raise InputError("protocol needs --instance (or --n/--r for rcir)")
+    if not 1 <= args.r <= args.n - 1:
+        raise InputError(f"need 1 <= --r <= --n - 1, got --n {args.n} --r {args.r}")
+    if not args.exact and args.n > CIRCLE_FORMULA_MAX_N:
+        raise CapExceededError(
+            f"--n {args.n}: Monte Carlo randomized circle capped at n={CIRCLE_FORMULA_MAX_N}"
+        )
 
 
 def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
+    _check_protocol_args(args)
     inst: QsiInstance | None = None
     if args.instance is not None:
         inst = _load(args.instance)
-    elif args.protocol == "rcir" and args.n is not None and args.r is not None:
-        if not 1 <= args.r <= args.n - 1:
-            raise InputError(f"need 1 <= r <= n-1, got n={args.n} r={args.r}")
-        if not args.exact:
-            inst = build_instance(
-                Partition.of([list(range(1, args.r + 1)),
-                              list(range(args.r + 1, args.n + 1))]),
-                dim=2,
-            )
-    else:
-        raise InputError("protocol needs --instance (or --n/--r for rcir)")
-    if args.protocol == "srs" and args.m < 1:
-        raise InputError("--m must be at least 1")
+    elif not args.exact:
+        inst = build_instance(
+            Partition.of([list(range(1, args.r + 1)), list(range(args.r + 1, args.n + 1))]),
+            dim=2,
+        )
 
     row: dict[str, Any] = {
         "protocol": args.protocol,
@@ -177,7 +187,7 @@ def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
         row["value_rational"] = _rat(value)
         row["value_float"] = float(value)
     else:
-        est = mc_run(_protocol_trial(args, inst), args.trials, seed)
+        est = mc_run(_protocol_sampler(args, inst), args.trials, seed)
         row.update(
             trials=est.trials,
             successes=est.successes,

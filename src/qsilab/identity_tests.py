@@ -35,7 +35,7 @@ from .limits import (
     CapExceededError,
     max_amplitudes,
 )
-from .permgroup import Permutation, cycle_power, perm_table, sign_table
+from .permgroup import Permutation, perm_table, sign_table
 from .qmath import MEASURE_EPS, JointState
 
 #: Imaginary parts of the Gram-matrix formula above this are a bug.
@@ -80,15 +80,21 @@ def _check_kind_n(kind: TestKind, n: int) -> None:
         )
 
 
-def control_group(kind: TestKind, n: int) -> list[Permutation]:
-    """The permutations applied under control, element 0 always the identity."""
-    _check_kind_n(kind, n)
+def _group_rows(kind: TestKind, n: int) -> np.ndarray:
+    """One-line images of the control group, one row each, identity first."""
     if kind in (TestKind.SWAP, TestKind.CIRCLE):
-        return [cycle_power(n, k) for k in range(n)]
+        cols = np.arange(n)
+        return (cols + cols[:, None]) % n + 1
     rows = perm_table(n)
     if kind is TestKind.ALTERNATION:
         rows = rows[sign_table(n) == 1]
-    return [Permutation(tuple(int(v) for v in row)) for row in rows]
+    return rows
+
+
+def control_group(kind: TestKind, n: int) -> list[Permutation]:
+    """The permutations applied under control, element 0 always the identity."""
+    _check_kind_n(kind, n)
+    return [Permutation(tuple(int(v) for v in row)) for row in _group_rows(kind, n)]
 
 
 def _circuit_cap(kind: TestKind, n: int, dim: int, group_size: int) -> None:
@@ -114,17 +120,22 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
     The Fourier transform of control |0> gives every control row the content
     over sqrt(|G|). Row i then holds the content with its registers permuted
     by group element i, and the inverse transform is an FFT along the control
-    axis divided by |G|. Only the outcome-0 post-state is built.
+    axis divided by |G|. Only the outcome-0 post-state is built. The size
+    caps are checked from |G| before any group element is built.
     """
     n, d = inst.n, inst.dim
-    group = control_group(kind, n)
-    size = len(group)
+    _check_kind_n(kind, n)
+    if kind in (TestKind.SWAP, TestKind.CIRCLE):
+        size = n
+    else:
+        size = factorial(n) // (2 if kind is TestKind.ALTERNATION else 1)
     _circuit_cap(kind, n, d, size)
 
     content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
     # register m receives the state formerly at p(m): coordinate axes
     # permute by the one-line images
-    joint = np.stack([content.transpose([v - 1 for v in p.images]) for p in group])
+    images = (_group_rows(kind, n) - 1).tolist()
+    joint = np.stack([content.transpose(row) for row in images])
     rows = np.fft.fft(joint.reshape(size, -1), axis=0) / size
     probs = (np.abs(rows) ** 2).sum(axis=1)
     distribution = tuple((i, float(p)) for i, p in enumerate(probs) if p >= MEASURE_EPS)

@@ -1,7 +1,7 @@
 """Semi-classical identity-testing protocols.
 
-Two protocols are implemented, each as a sampled run with measurement
-collapse and as an exact-probability evaluator:
+Two protocols are implemented, each as a batch of sampled runs with
+measurement collapse and as an exact-probability evaluator:
 
 * sequential random swap on three states: m rounds of swap tests on
   classically chosen register pairs, collapsing the joint state between
@@ -9,8 +9,9 @@ collapse and as an exact-probability evaluator:
 * randomized circle: one uniformly random relabeling of the states followed
   by a single cyclic-shift test.
 
-Exact evaluators use rational arithmetic end to end; Monte Carlo trials are
-independent and seeded per trial, so runs are reproducible and order-free.
+Exact evaluators use rational arithmetic end to end. Monte Carlo trials run
+in blocks of MC_BLOCK, each block drawing from its own stream seeded by the
+base seed and the block index, so runs are reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -18,28 +19,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .identity_tests import TestKind, equal_prob_formula, run_circuit
+from .identity_tests import TestKind, _check_kind_n
 from .instances import QsiInstance, Verdict, verify_promise
-from .limits import CIRCLE_CIRCUIT_MAX_N, RCIR_EXACT_MAX_N, CapExceededError, max_amplitudes
-from .permgroup import Partition
+from .limits import RCIR_EXACT_MAX_N, CapExceededError
 
 Policy = Literal["uniform", "canonical"]
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
+#: Index into _PAIRS of the next pair, by current pair and by which of its
+#: two registers is kept alongside the leftover one.
+_NEXT_PAIR = np.array([[1, 2], [0, 2], [0, 1]])
 
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    """Verdict of one sampled protocol run plus its full transcript."""
-
-    verdict: str  # "YES" or "NO"
-    rounds_executed: int
-    transcript: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), outcome)
+#: Trials per Monte Carlo block: one random stream and one batch of arrays.
+MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -81,63 +78,37 @@ def _require_promise(inst: QsiInstance) -> None:
         raise ValueError("instance violates the equal-or-orthogonal promise")
 
 
-def _pair_swap_axes(pair: tuple[int, int], n_regs: int = 3) -> list[int]:
-    axes = list(range(n_regs))
-    i, j = pair
-    axes[i - 1], axes[j - 1] = axes[j - 1], axes[i - 1]
-    return axes
+def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k sampled runs of the m-round sequential swap protocol; True is YES.
 
-
-def _swap_test_branches(
-    state: np.ndarray, d: int, pair: tuple[int, int]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Measurement branches of one controlled-swap test on two registers.
-
-    Appending a fresh control qubit, Hadamard-conjugating the controlled swap
-    and measuring the control leaves (state +/- swapped)/2 on the content
-    registers; returns (p_equal, renormalized equal branch, renormalized
-    not-equal branch), with None-like zero vectors avoided by construction.
-    """
-    cube = state.reshape((d, d, d))
-    swapped = cube.transpose(_pair_swap_axes(pair)).reshape(-1)
-    equal_branch = (state + swapped) / 2.0
-    other_branch = (state - swapped) / 2.0
-    p0 = float(np.vdot(equal_branch, equal_branch).real)
-    if p0 > 0.0:
-        equal_branch = equal_branch / np.sqrt(p0)
-    if p0 < 1.0:
-        other_branch = other_branch / np.sqrt(max(1.0 - p0, 0.0))
-    return p0, equal_branch, other_branch
-
-
-def srs_sample(inst: QsiInstance, m: int, rng: np.random.Generator) -> ProtocolOutcome:
-    """One sampled run of the m-round sequential swap protocol.
-
-    Tracks the joint pure state of the three content registers; every round
-    runs the swap-test circuit on the chosen pair, samples the control
-    measurement, collapses, and redraws the next pair uniformly from the
-    leftover register plus one of the two just-tested registers.
+    Swap tests commute with U (x) U (x) U, so each state is written in an
+    orthonormal basis of the span of the three: the columns of R in the QR
+    factorization of the d x 3 state matrix. A trial then holds at most 27
+    amplitudes whatever d is. Every round gathers the swapped amplitudes of
+    each trial's pair, passes with p0 = |(state + swapped)/2|^2, keeps the
+    renormalized EQUAL branch, and redraws the pair from the leftover
+    register plus one of the two just-tested registers.
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
     _require_three(inst)
     _require_promise(inst)
-    d = inst.dim
-    state = reduce(np.kron, (s.amps for s in inst.states))
-    pair = _PAIRS[int(rng.integers(3))]
-    transcript: list[tuple[tuple[int, int], int]] = []
+    coords = np.linalg.qr(np.column_stack([s.amps for s in inst.states]), mode="r")
+    r = len(coords)
+    cube = np.arange(r**3).reshape(r, r, r)
+    swaps = np.stack([cube.swapaxes(i - 1, j - 1).reshape(-1) for i, j in _PAIRS])
+    state = np.broadcast_to(np.einsum("a,b,c->abc", *coords.T).reshape(-1), (k, r**3))
+    pair = rng.integers(3, size=k)
+    alive = np.ones(k, dtype=bool)
     for round_no in range(1, m + 1):
-        p0, equal_branch, other_branch = _swap_test_branches(state, d, pair)
-        outcome = 0 if rng.random() < p0 else 1
-        transcript.append((pair, outcome))
-        if outcome == 1:
-            return ProtocolOutcome("NO", round_no, tuple(transcript))
-        state = equal_branch
+        equal = (state + np.take_along_axis(state, swaps[pair], axis=1)) / 2
+        p0 = (np.abs(equal) ** 2).sum(axis=1)
+        alive &= rng.random(k) < p0
         if round_no < m:
-            leftover = ({1, 2, 3} - set(pair)).pop()
-            kept = pair[int(rng.integers(2))]
-            pair = (min(leftover, kept), max(leftover, kept))
-    return ProtocolOutcome("YES", m, tuple(transcript))
+            # a live trial passed with probability p0, so its p0 is positive
+            state = equal / np.sqrt(np.where(alive, p0, 1.0))[:, None]
+            pair = _NEXT_PAIR[pair, rng.integers(2, size=k)]
+    return alive
 
 
 def _block_labels_three(inst: QsiInstance) -> tuple[int, ...]:
@@ -239,39 +210,28 @@ def srs_canonical_trace(
     return rounds
 
 
-def _permuted_instance(inst: QsiInstance, tau: np.ndarray) -> QsiInstance:
-    """Relabel states so position j holds the state formerly at tau[j]."""
-    states = tuple(inst.states[int(t)] for t in tau)
-    partition = None
-    if inst.partition is not None:
-        old_labels = inst.partition.labels()
-        new_labels = [old_labels[int(t)] for t in tau]
-        blocks: dict[int, set[int]] = {}
-        for pos, lab in enumerate(new_labels, start=1):
-            blocks.setdefault(lab, set()).add(pos)
-        partition = Partition(
-            inst.n, tuple(frozenset(b) for b in blocks.values())
-        )
-    return QsiInstance(states, partition)
+def _circle_equal_probs(gram: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """EQUAL probability of the cyclic-shift test after each relabeling.
 
-
-def rcir_sample(inst: QsiInstance, rng: np.random.Generator) -> str:
-    """One run of the randomized circle protocol: YES on EQUAL, NO otherwise.
-
-    Applies a uniformly random relabeling, then runs the cyclic-shift test;
-    the circuit is simulated when it fits the amplitude budget, otherwise the
-    outcome is an exact Bernoulli draw from the closed-form probability.
+    Row tau of taus puts the state formerly at tau[i] in position i, so the
+    relabeled Gram matrix is G[tau_i, tau_j] and the probability is the mean
+    over shifts s of Re prod_i G[tau_i, tau_((i+s) mod n)].
     """
-    if verify_promise(inst) is Verdict.VIOLATED:
-        raise ValueError("instance violates the equal-or-orthogonal promise")
-    tau = rng.permutation(inst.n)
-    permuted = _permuted_instance(inst, tau)
-    n, d = permuted.n, permuted.dim
-    if n <= CIRCLE_CIRCUIT_MAX_N and n * d**n <= max_amplitudes():
-        p_equal = run_circuit(TestKind.CIRCLE, permuted).p_equal
-    else:
-        p_equal = equal_prob_formula(TestKind.CIRCLE, permuted)
-    return "YES" if rng.random() < p_equal else "NO"
+    n = taus.shape[1]
+    return sum(gram[taus, np.roll(taus, -s, axis=1)].prod(axis=1).real for s in range(n)) / n
+
+
+def rcir_batch(inst: QsiInstance, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k runs of the randomized circle protocol; True is YES (EQUAL).
+
+    Each run applies a uniformly random relabeling and accepts with the
+    cyclic-shift test's EQUAL probability on the relabeled Gram matrix.
+    """
+    _require_promise(inst)
+    n = inst.n
+    _check_kind_n(TestKind.CIRCLE, n)
+    taus = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+    return rng.random(k) < _circle_equal_probs(inst.gram(), taus)
 
 
 def _totient(t: int) -> int:
@@ -360,15 +320,18 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def mc_run(
-    trial: Callable[[np.random.Generator], bool], trials: int, base_seed: int
+    sample: Callable[[np.random.Generator, int], np.ndarray], trials: int, base_seed: int
 ) -> McEstimate:
-    """Run independent trials; trial i draws from the stream seeded by the
-    pair (base_seed, i), so no two (base, trial) pairs share a stream."""
+    """Run independent trials in blocks of MC_BLOCK.
+
+    ``sample(rng, k)`` returns k bool verdicts. Block b draws from the stream
+    seeded by the pair (base_seed, b), so no two (base, block) pairs share a
+    stream and the estimate depends only on the base seed and the count.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
     successes = 0
-    for i in range(trials):
-        rng = np.random.default_rng([base_seed, i])
-        if trial(rng):
-            successes += 1
+    for block, start in enumerate(range(0, trials, MC_BLOCK)):
+        rng = np.random.default_rng([base_seed, block])
+        successes += int(np.count_nonzero(sample(rng, min(MC_BLOCK, trials - start))))
     return McEstimate(trials, successes, successes / trials, wilson_interval(successes, trials))

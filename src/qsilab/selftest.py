@@ -43,8 +43,8 @@ from .protocols import (
     rcir_exact,
     srs_canonical_trace,
     srs_closed_form,
+    srs_batch,
     srs_exact,
-    srs_sample,
 )
 
 
@@ -287,7 +287,7 @@ def criterion_7() -> CriterionResult:
     mc_report = []
     for idx, (inst, m, expect) in enumerate(mc_cases):
         est = mc_run(
-            lambda rng, inst=inst, m=m: srs_sample(inst, m, rng).verdict == "YES",
+            lambda rng, k, inst=inst, m=m: srs_batch(inst, m, rng, k),
             trials,
             base_seed=2_000_000 + idx,
         )

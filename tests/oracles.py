@@ -1,24 +1,34 @@
-"""Enumeration oracles for the identity-test evaluators.
+"""Enumeration oracles for the identity-test evaluators and the protocols.
 
 These are the group sweeps and the dense circuit that the closed forms in
-`qsilab.identity_tests` and `qsilab.bounds` replace. They sum over every
-group element (or build every measurement outcome), so they are slow, but
-they share no formula with the code under test.
+`qsilab.identity_tests` and `qsilab.bounds` replace, and the one-trial-at-a-
+time protocol samplers that the batches in `qsilab.protocols` replace. They
+sum over every group element, build every measurement outcome or simulate
+the full d^n state of each trial, so they are slow, but they share no
+formula with the code under test.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations as _lex_permutations
 
 import numpy as np
 
-from qsilab.identity_tests import TestKind, TestResult, _circuit_cap, control_group
-from qsilab.instances import QsiInstance
-from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError
-from qsilab.permgroup import perm_table, sign_table
+from qsilab.identity_tests import (
+    TestKind,
+    TestResult,
+    _circuit_cap,
+    control_group,
+    equal_prob_formula,
+    run_circuit,
+)
+from qsilab.instances import QsiInstance, Verdict, verify_promise
+from qsilab.limits import CIRCLE_CIRCUIT_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
+from qsilab.permgroup import Partition, perm_table, sign_table
 from qsilab.qmath import MEASURE_EPS, JointState
 
 _FORMULA_CHUNK = 200_000
@@ -144,3 +154,109 @@ def shift_count_rational(labels: tuple[int, ...]) -> Fraction:
     n = len(labels)
     fixed = sum(labels[k:] + labels[:k] == labels for k in range(n))
     return Fraction(fixed, n)
+
+
+@dataclass(frozen=True)
+class ProtocolOutcome:
+    """Verdict of one sampled protocol run plus its full transcript."""
+
+    verdict: str  # "YES" or "NO"
+    rounds_executed: int
+    transcript: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), outcome)
+
+
+def _pair_swap_axes(pair: tuple[int, int], n_regs: int = 3) -> list[int]:
+    axes = list(range(n_regs))
+    i, j = pair
+    axes[i - 1], axes[j - 1] = axes[j - 1], axes[i - 1]
+    return axes
+
+
+def _swap_test_branches(
+    state: np.ndarray, d: int, pair: tuple[int, int]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Measurement branches of one controlled-swap test on two registers.
+
+    Appending a fresh control qubit, Hadamard-conjugating the controlled swap
+    and measuring the control leaves (state +/- swapped)/2 on the content
+    registers; returns (p_equal, renormalized equal branch, renormalized
+    not-equal branch), with None-like zero vectors avoided by construction.
+    """
+    cube = state.reshape((d, d, d))
+    swapped = cube.transpose(_pair_swap_axes(pair)).reshape(-1)
+    equal_branch = (state + swapped) / 2.0
+    other_branch = (state - swapped) / 2.0
+    p0 = float(np.vdot(equal_branch, equal_branch).real)
+    if p0 > 0.0:
+        equal_branch = equal_branch / np.sqrt(p0)
+    if p0 < 1.0:
+        other_branch = other_branch / np.sqrt(max(1.0 - p0, 0.0))
+    return p0, equal_branch, other_branch
+
+
+def srs_sample(inst: QsiInstance, m: int, rng: np.random.Generator) -> ProtocolOutcome:
+    """One sampled run of the m-round sequential swap protocol.
+
+    Tracks the joint pure state of the three content registers (d^3
+    amplitudes); every round runs the swap-test circuit on the chosen pair,
+    samples the control measurement, collapses, and redraws the next pair
+    uniformly from the leftover register plus one of the two just-tested
+    registers.
+    """
+    if m < 1:
+        raise ValueError("round count must be at least 1")
+    if inst.n != 3:
+        raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
+    if verify_promise(inst) is Verdict.VIOLATED:
+        raise ValueError("instance violates the equal-or-orthogonal promise")
+    d = inst.dim
+    state = reduce(np.kron, (s.amps for s in inst.states))
+    pair = ((1, 2), (1, 3), (2, 3))[int(rng.integers(3))]
+    transcript: list[tuple[tuple[int, int], int]] = []
+    for round_no in range(1, m + 1):
+        p0, equal_branch, other_branch = _swap_test_branches(state, d, pair)
+        outcome = 0 if rng.random() < p0 else 1
+        transcript.append((pair, outcome))
+        if outcome == 1:
+            return ProtocolOutcome("NO", round_no, tuple(transcript))
+        state = equal_branch
+        if round_no < m:
+            leftover = ({1, 2, 3} - set(pair)).pop()
+            kept = pair[int(rng.integers(2))]
+            pair = (min(leftover, kept), max(leftover, kept))
+    return ProtocolOutcome("YES", m, tuple(transcript))
+
+
+def permuted_instance(inst: QsiInstance, tau: np.ndarray) -> QsiInstance:
+    """Relabel states so position j holds the state formerly at tau[j]."""
+    states = tuple(inst.states[int(t)] for t in tau)
+    partition = None
+    if inst.partition is not None:
+        old_labels = inst.partition.labels()
+        new_labels = [old_labels[int(t)] for t in tau]
+        blocks: dict[int, set[int]] = {}
+        for pos, lab in enumerate(new_labels, start=1):
+            blocks.setdefault(lab, set()).add(pos)
+        partition = Partition(
+            inst.n, tuple(frozenset(b) for b in blocks.values())
+        )
+    return QsiInstance(states, partition)
+
+
+def rcir_sample(inst: QsiInstance, rng: np.random.Generator) -> str:
+    """One run of the randomized circle protocol: YES on EQUAL, NO otherwise.
+
+    Applies a uniformly random relabeling, then runs the cyclic-shift test;
+    the circuit is simulated when it fits the amplitude budget, otherwise the
+    outcome is an exact Bernoulli draw from the closed-form probability.
+    """
+    if verify_promise(inst) is Verdict.VIOLATED:
+        raise ValueError("instance violates the equal-or-orthogonal promise")
+    tau = rng.permutation(inst.n)
+    permuted = permuted_instance(inst, tau)
+    n, d = permuted.n, permuted.dim
+    if n <= CIRCLE_CIRCUIT_MAX_N and n * d**n <= max_amplitudes():
+        p_equal = run_circuit(TestKind.CIRCLE, permuted).p_equal
+    else:
+        p_equal = equal_prob_formula(TestKind.CIRCLE, permuted)
+    return "YES" if rng.random() < p_equal else "NO"

@@ -175,6 +175,27 @@ class TestProtocolCommand:
         assert code == 3
         assert "capped" in err
 
+    @pytest.mark.parametrize(
+        "argv,code,flag",
+        [
+            (["rcir", "--n", "200000", "--r", "2", "--trials", "0"], 2, "--trials"),
+            (["srs", "--instance", "x.json", "--m", "0"], 2, "--m"),
+            (["srs", "--instance", "x.json", "--m", "0", "--exact"], 2, "--m"),
+            (["rcir", "--n", "200000", "--r", "200000"], 2, "--r"),
+            (["rcir", "--n", "5", "--r", "0", "--exact"], 2, "--r"),
+            (["rcir", "--n", "200000", "--r", "2"], 3, "--n"),
+        ],
+    )
+    def test_bounds_checked_before_any_work(self, capsys, monkeypatch, argv, code, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance loaded or built before the bounds check")
+
+        monkeypatch.setattr("qsilab.cli._load", refuse)
+        monkeypatch.setattr("qsilab.cli.build_instance", refuse)
+        got, _, err = run_cli(capsys, "protocol", *argv, "--seed", "1")
+        assert got == code
+        assert flag in err
+
     def test_missing_inputs_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "protocol", "srs", "--exact")
         assert code == 2

@@ -139,6 +139,18 @@ class TestRunCircuit:
         with pytest.raises(CapExceededError):
             run_circuit(TestKind.CIRCLE, yes_instance(11))
 
+    def test_caps_checked_before_group_is_built(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"perm_table({n}) built before the cap check")
+
+        monkeypatch.setattr("qsilab.identity_tests.perm_table", refuse)
+        for kind in (TestKind.PERMUTATION, TestKind.ALTERNATION):
+            with pytest.raises(CapExceededError):
+                run_circuit(kind, yes_instance(7))
+        monkeypatch.setenv("QSI_MAX_AMPS", "100")  # 3! * 2^3 = 48 fits, 4! * 2^4 does not
+        with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
+            run_circuit(TestKind.PERMUTATION, yes_instance(4))
+
     def test_amplitude_budget_env(self, monkeypatch):
         monkeypatch.setenv("QSI_MAX_AMPS", "7")  # swap on qubits needs 2 * 2^2 = 8
         with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):

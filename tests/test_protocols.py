@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
-from qsilab.instances import build_instance, haar_unitary, random_unstructured_instance
-from qsilab.limits import RCIR_EXACT_MAX_N, CapExceededError
+from oracles import permuted_instance, rcir_sample, srs_sample
+from qsilab.identity_tests import TestKind as Kind, run_circuit
+from qsilab.instances import QsiInstance, build_instance, haar_unitary, random_unstructured_instance
+from qsilab.limits import CIRCLE_FORMULA_MAX_N, RCIR_EXACT_MAX_N, CapExceededError
 from qsilab.permgroup import Partition
+from qsilab.qmath import PureState
 from qsilab.bounds import eq2_bound
 from qsilab.protocols import (
+    MC_BLOCK,
+    _circle_equal_probs,
     mc_run,
+    rcir_batch,
     rcir_exact,
     rcir_exact_for_instance,
-    rcir_sample,
+    srs_batch,
     srs_canonical_trace,
     srs_closed_form,
     srs_exact,
-    srs_sample,
     wilson_interval,
 )
 
@@ -272,7 +277,7 @@ class TestSrsSample:
         expected = srs_exact(inst, m)
         shape_idx = ["two_ident_13", "two_ident_12", "two_ident_23", "all_orth"].index(shape)
         est = mc_run(
-            lambda rng: srs_sample(inst, m, rng).verdict == "YES",
+            lambda rng, k: srs_batch(inst, m, rng, k),
             trials,
             base_seed=10_000 + 17 * shape_idx + m,
         )
@@ -282,24 +287,113 @@ class TestSrsSample:
 class TestRcirSample:
     def test_yes_always(self):
         rng = np.random.default_rng(3)
-        assert all(rcir_sample(yes_instance(4), rng) == "YES" for _ in range(20))
+        assert rcir_batch(yes_instance(4), rng, 20).all()
 
     def test_three_states_rejects_two_thirds(self):
         trials = 20_000
-        est = mc_run(
-            lambda rng: rcir_sample(TWO_IDENT, rng) == "NO", trials, base_seed=77
-        )
+        est = mc_run(lambda rng, k: ~rcir_batch(TWO_IDENT, rng, k), trials, base_seed=77)
         assert _sigma_bound(est.p_hat, Fraction(2, 3), trials)
 
     def test_alternating_four_matches_exact(self):
         inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
         trials = 20_000
-        est = mc_run(lambda rng: rcir_sample(inst, rng) == "YES", trials, base_seed=99)
+        est = mc_run(lambda rng, k: rcir_batch(inst, rng, k), trials, base_seed=99)
         assert _sigma_bound(est.p_hat, rcir_exact(4, 2), trials)
 
     def test_promise_checked(self):
         with pytest.raises(ValueError, match="promise"):
-            rcir_sample(random_unstructured_instance(3, 2, seed=6), np.random.default_rng(0))
+            rcir_batch(random_unstructured_instance(3, 2, seed=6), np.random.default_rng(0), 1)
+
+
+def _two_sample_bound(a, b, k: float = 5.0) -> bool:
+    """Two estimates of one proportion agree within k pooled standard errors."""
+    pooled = (a.successes + b.successes) / (a.trials + b.trials)
+    sigma = math.sqrt(pooled * (1 - pooled) * (1 / a.trials + 1 / b.trials))
+    return abs(a.p_hat - b.p_hat) <= k * sigma
+
+
+def _per_trial(run_one):
+    """mc_run sampler that calls a one-trial oracle k times."""
+    return lambda rng, k: np.array([run_one(rng) for _ in range(k)], dtype=bool)
+
+
+class TestSrsBatch:
+    @pytest.mark.parametrize(
+        "blocks,dim",
+        [(b, d) for d in (2, 3, 5) for b in THREE_STATE_PARTITIONS if len(b) <= d],
+    )
+    def test_rotated_matches_exact(self, blocks, dim):
+        inst = build_instance(Partition.of(blocks), dim, haar_unitary(dim, seed=40 + dim))
+        trials = 20_000
+        for m in (1, 3, 6):
+            expected = srs_exact(inst, m)
+            est = mc_run(lambda rng, k: srs_batch(inst, m, rng, k), trials, base_seed=500 + m)
+            assert _sigma_bound(est.p_hat, expected, trials)
+
+    @pytest.mark.parametrize("inst", [TWO_IDENT, ALL_ORTH], ids=["two_ident", "all_orth"])
+    def test_matches_per_trial_oracle(self, inst):
+        m, trials = 3, 3000
+        batched = mc_run(lambda rng, k: srs_batch(inst, m, rng, k), trials, base_seed=61)
+        oracle = mc_run(
+            _per_trial(lambda rng: srs_sample(inst, m, rng).verdict == "YES"), trials, base_seed=62
+        )
+        assert _two_sample_bound(batched, oracle)
+
+    def test_unstructured_promise_states_match_oracle(self):
+        # equal-up-to-phase states: the promise holds but no partition is stored
+        rot = haar_unitary(4, seed=3)
+        states = [rot[:, 0], 1j * rot[:, 0], rot[:, 2]]
+        inst = QsiInstance(tuple(PureState(s) for s in states))
+        m, trials = 2, 3000
+        batched = mc_run(lambda rng, k: srs_batch(inst, m, rng, k), trials, base_seed=63)
+        oracle = mc_run(
+            _per_trial(lambda rng: srs_sample(inst, m, rng).verdict == "YES"), trials, base_seed=64
+        )
+        assert _two_sample_bound(batched, oracle)
+
+    def test_input_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="3 states"):
+            srs_batch(yes_instance(2), 1, rng, 4)
+        with pytest.raises(ValueError, match="promise"):
+            srs_batch(random_unstructured_instance(3, 2, seed=5), 1, rng, 4)
+        with pytest.raises(ValueError, match="round count"):
+            srs_batch(YES3, 0, rng, 4)
+
+
+class TestRcirBatch:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_circle_probs_match_circuit(self, n):
+        rng = np.random.default_rng(n)
+        instances = [
+            two_block(n, max(1, n // 3), dim=3, rotation=haar_unitary(3, seed=n)),
+            random_unstructured_instance(n, 2, seed=n),
+        ]
+        for inst in instances:
+            taus = rng.permuted(np.tile(np.arange(n), (6, 1)), axis=1)
+            probs = _circle_equal_probs(inst.gram(), taus)
+            for tau, p in zip(taus, probs):
+                want = run_circuit(Kind.CIRCLE, permuted_instance(inst, tau)).p_equal
+                assert abs(p - want) <= 1e-12
+
+    @pytest.mark.parametrize("n,r", [(3, 1), (6, 2), (9, 3)])
+    def test_matches_per_trial_oracle(self, n, r):
+        inst = two_block(n, r)
+        trials = 3000
+        batched = mc_run(lambda rng, k: rcir_batch(inst, rng, k), trials, base_seed=71)
+        oracle = mc_run(
+            _per_trial(lambda rng: rcir_sample(inst, rng) == "YES"), trials, base_seed=72
+        )
+        assert _two_sample_bound(batched, oracle)
+
+    def test_input_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="promise"):
+            rcir_batch(random_unstructured_instance(3, 2, seed=6), rng, 4)
+        with pytest.raises(ValueError, match="at least 2"):
+            rcir_batch(yes_instance(1), rng, 4)
+        with pytest.raises(CapExceededError, match="capped"):
+            rcir_batch(two_block(CIRCLE_FORMULA_MAX_N + 1, 1), rng, 4)
 
 
 def brute_rcir(n: int, r: int) -> Fraction:
@@ -412,19 +506,19 @@ class TestRcirExactForInstance:
 
 class TestMcRun:
     def test_deterministic_yes(self):
-        est = mc_run(lambda rng: True, 100, base_seed=0)
-        assert est == mc_run(lambda rng: True, 100, base_seed=0)
+        est = mc_run(lambda rng, k: np.ones(k, dtype=bool), 100, base_seed=0)
+        assert est == mc_run(lambda rng, k: np.ones(k, dtype=bool), 100, base_seed=0)
         assert est.p_hat == 1.0 and est.successes == 100
         assert est.ci95[0] <= est.p_hat <= est.ci95[1]
 
     def test_fair_coin(self):
-        est = mc_run(lambda rng: rng.random() < 0.5, 100_000, base_seed=42)
+        est = mc_run(lambda rng, k: rng.random(k) < 0.5, 100_000, base_seed=42)
         assert abs(est.p_hat - 0.5) <= 0.01
         assert est.ci95[0] <= est.p_hat <= est.ci95[1]
 
     def test_reproducible_across_runs(self):
-        a = mc_run(lambda rng: rng.random() < 0.3, 500, base_seed=9)
-        b = mc_run(lambda rng: rng.random() < 0.3, 500, base_seed=9)
+        a = mc_run(lambda rng, k: rng.random(k) < 0.3, 500, base_seed=9)
+        b = mc_run(lambda rng, k: rng.random(k) < 0.3, 500, base_seed=9)
         assert a == b
 
     def test_wilson_interval_brackets(self):
@@ -456,11 +550,31 @@ class TestMcRun:
     def test_adjacent_bases_draw_disjoint_streams(self):
         def first_draws(base_seed):
             draws = []
-            mc_run(lambda rng: draws.append(rng.random()) is None, 64, base_seed=base_seed)
+            mc_run(
+                lambda rng, k: draws.extend(rng.random(k)) or np.ones(k, dtype=bool),
+                64,
+                base_seed=base_seed,
+            )
             return set(draws)
 
         assert first_draws(0).isdisjoint(first_draws(1))
 
+    def test_blocks_draw_from_their_own_streams(self):
+        draws = []
+
+        def sample(rng, k):
+            draws.append(rng.random(k))
+            return draws[-1] < 0.4
+
+        trials = MC_BLOCK + 1
+        est = mc_run(sample, trials, base_seed=5)
+        assert [len(u) for u in draws] == [MC_BLOCK, 1]
+        for block, u in enumerate(draws):
+            assert np.array_equal(u, np.random.default_rng([5, block]).random(len(u)))
+        assert est.trials == trials
+        assert est.successes == sum(np.count_nonzero(u < 0.4) for u in draws)
+        assert est == mc_run(sample, trials, base_seed=5)
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            mc_run(lambda rng: True, 0, base_seed=0)
+            mc_run(lambda rng, k: np.ones(k, dtype=bool), 0, base_seed=0)
