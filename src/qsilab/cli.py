@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -144,6 +145,10 @@ def _check_protocol_args(args) -> None:
     """Reject out-of-range flags before any instance is loaded or built."""
     if not args.exact and args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if not args.exact and args.policy != "uniform":
+        raise InputError(
+            f"--policy {args.policy} needs --exact: Monte Carlo re-chooses pairs uniformly"
+        )
     if args.protocol == "srs" and args.m < 1:
         raise InputError(f"--m must be at least 1, got {args.m}")
     if args.instance is not None:
@@ -334,6 +339,8 @@ def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
 
 # --- wiring ------------------------------------------------------------------
 
+# Built on first use and kept: every call of main in one process reuses it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsilab",
@@ -425,6 +432,9 @@ def _emit(args, columns: list[str], rows: list[dict], record: RunRecord) -> None
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
     if args.command == "selftest":
         return 0 if run_all() else 1
 

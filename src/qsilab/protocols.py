@@ -12,6 +12,9 @@ measurement collapse and as an exact-probability evaluator:
 Exact evaluators use rational arithmetic end to end. Monte Carlo trials run
 in blocks of MC_BLOCK, each block drawing from its own stream seeded by the
 base seed and the block index, so runs are reproducible from the seed.
+Within a block, sequential random swap evolves one state per distinct path
+of tested pairs rather than one per trial: trials that tested the same
+pairs share a row of a state table, and each round updates the rows once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Literal, NamedTuple
 
 import numpy as np
@@ -83,11 +87,17 @@ def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np
 
     Swap tests commute with U (x) U (x) U, so each state is written in an
     orthonormal basis of the span of the three: the columns of R in the QR
-    factorization of the d x 3 state matrix. A trial then holds at most 27
-    amplitudes whatever d is. Every round gathers the swapped amplitudes of
-    each trial's pair, passes with p0 = |(state + swapped)/2|^2, keeps the
-    renormalized EQUAL branch, and redraws the pair from the leftover
-    register plus one of the two just-tested registers.
+    factorization of the d x 3 state matrix, at most 27 amplitudes whatever
+    d is. A trial's state depends only on the pairs it has tested, so the
+    states form a table with one row per distinct pair path (at most
+    min(k, 3 * 2^(t-1)) rows in round t) and each trial holds its row's
+    slot. Each round computes, once per row, the EQUAL branch
+    (state + swapped)/2 and its probability p0; each trial passes with its
+    row's p0 and then keeps the leftover register plus one of the two
+    tested ones, so a row has at most two children, each renormalized by
+    the parent's p0. That p0 is at least 1/4 even on rows whose trials all
+    failed: a state symmetric under the last pair has swap expectation at
+    least -1/2 on any other pair.
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
@@ -97,17 +107,18 @@ def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np
     r = len(coords)
     cube = np.arange(r**3).reshape(r, r, r)
     swaps = np.stack([cube.swapaxes(i - 1, j - 1).reshape(-1) for i, j in _PAIRS])
-    state = np.broadcast_to(np.einsum("a,b,c->abc", *coords.T).reshape(-1), (k, r**3))
-    pair = rng.integers(3, size=k)
+    pair, slot = np.unique(rng.integers(3, size=k), return_inverse=True)
+    table = np.broadcast_to(np.einsum("a,b,c->abc", *coords.T).reshape(-1), (len(pair), r**3))
     alive = np.ones(k, dtype=bool)
     for round_no in range(1, m + 1):
-        equal = (state + np.take_along_axis(state, swaps[pair], axis=1)) / 2
+        equal = (table + np.take_along_axis(table, swaps[pair], axis=1)) / 2
         p0 = (np.abs(equal) ** 2).sum(axis=1)
-        alive &= rng.random(k) < p0
+        alive &= rng.random(k) < p0[slot]
         if round_no < m:
-            # a live trial passed with probability p0, so its p0 is positive
-            state = equal / np.sqrt(np.where(alive, p0, 1.0))[:, None]
-            pair = _NEXT_PAIR[pair, rng.integers(2, size=k)]
+            child, slot = np.unique(2 * slot + rng.integers(2, size=k), return_inverse=True)
+            parent = child // 2
+            table = equal[parent] / np.sqrt(p0[parent])[:, None]
+            pair = _NEXT_PAIR[pair[parent], child % 2]
     return alive
 
 
@@ -248,48 +259,68 @@ def _totient(t: int) -> int:
     return result
 
 
+def _multinomial(sizes: list[int]) -> int:
+    return math.prod(map(math.comb, accumulate(sizes), sizes))
+
+
+def _necklace_share(sizes: list[int]) -> Fraction:
+    """Mean share of cyclic shifts fixing a uniformly random arrangement of
+    blocks of the given sizes around the n-cycle, n = sum(sizes).
+
+    By Burnside's lemma the fixed (shift, arrangement) pairs are counted per
+    shift order t: a shift of order t cuts the cycle into n/t orbits of
+    length t and fixes the multinomial(n/t; sizes/t) arrangements made of
+    whole orbits when t divides every size, and phi(t) shifts have order t.
+    So the value is sum over t | gcd(sizes) of phi(t) multinomial(n/t;
+    sizes/t), over n multinomial(n; sizes).
+
+    Raises CapExceededError when n exceeds RCIR_EXACT_MAX_N.
+    """
+    n = sum(sizes)
+    if n > RCIR_EXACT_MAX_N:
+        raise CapExceededError(f"exact randomized circle capped at n={RCIR_EXACT_MAX_N}, got {n}")
+    g = math.gcd(*sizes)
+    fixed = sum(
+        _totient(t) * _multinomial([sz // t for sz in sizes]) for t in range(1, g + 1) if g % t == 0
+    )
+    return Fraction(fixed, n * _multinomial(sizes))
+
+
 def rcir_exact(n: int, r: int) -> Fraction:
     """Exact soundness error of the randomized circle protocol on a two-block
     instance with r states in the distinguished block.
 
     Averages s(A)/n over all r-subsets A of the cycle, where s(A) counts the
-    cyclic shifts preserving A. By Burnside's lemma the sum of s(A) counts
-    the (shift, subset) pairs with the subset fixed. A shift of order t cuts
-    the cycle into n/t orbits of length t and fixes the C(n/t, r/t) subsets
-    made of whole orbits when t divides r; phi(t) shifts have order t. So the
-    value is sum over t | gcd(n, r) of phi(t) C(n/t, r/t), over n C(n, r).
+    cyclic shifts preserving A: ``_necklace_share`` of the sizes r, n - r.
 
     Raises ValueError unless 1 <= r <= n - 1, and CapExceededError when n
     exceeds RCIR_EXACT_MAX_N.
     """
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be within 1..n-1, got r={r}, n={n}")
-    if n > RCIR_EXACT_MAX_N:
-        raise CapExceededError(f"exact randomized circle capped at n={RCIR_EXACT_MAX_N}, got {n}")
-    g = math.gcd(n, r)
-    fixed = sum(_totient(t) * math.comb(n // t, r // t) for t in range(1, g + 1) if g % t == 0)
-    return Fraction(fixed, n * math.comb(n, r))
+    return _necklace_share([r, n - r])
 
 
 def rcir_exact_for_instance(inst: QsiInstance) -> Fraction:
-    """Worst-case exact soundness over two-block merges of the instance blocks.
+    """Exact soundness error of the randomized circle protocol on a promise
+    instance with any number of blocks.
 
-    A multi-block promise instance is reduced to the two-block merge that
-    maximizes the soundness error; requires a NO instance.
+    A uniformly random relabeling places the blocks uniformly over the
+    cycle's arrangements, and under the promise the cyclic-shift test passes
+    with the share of shifts that fix the arrangement, so the value is
+    ``_necklace_share`` of the block sizes. With two blocks it equals
+    ``rcir_exact(n, r)``.
+
+    Raises ValueError when the instance has no promise partition or a single
+    block (a YES instance), and CapExceededError when n exceeds
+    RCIR_EXACT_MAX_N.
     """
     if inst.partition is None:
         raise ValueError("exact evaluation needs the promise partition")
     sizes = [len(b) for b in inst.partition.blocks]
     if len(sizes) < 2:
         raise ValueError("instance has a single block: it is a YES instance")
-    if len(sizes) > 20:
-        raise CapExceededError("too many blocks to enumerate two-block merges")
-    achievable: set[int] = set()
-    for pick in range(1, 1 << len(sizes)):
-        r = sum(sz for i, sz in enumerate(sizes) if pick >> i & 1)
-        if 1 <= r <= inst.n - 1:
-            achievable.add(min(r, inst.n - r))
-    return max(rcir_exact(inst.n, r) for r in sorted(achievable))
+    return _necklace_share(sizes)
 
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%

@@ -5,7 +5,9 @@ These are the group sweeps and the dense circuit that the closed forms in
 time protocol samplers that the batches in `qsilab.protocols` replace. They
 sum over every group element, build every measurement outcome or simulate
 the full d^n state of each trial, so they are slow, but they share no
-formula with the code under test.
+formula with the code under test. ``per_trial_srs_batch`` keeps one state
+per trial where ``srs_batch`` keeps one per pair path; the two draw the same
+random numbers, so their verdicts agree exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from qsilab.identity_tests import (
 from qsilab.instances import QsiInstance, Verdict, verify_promise
 from qsilab.limits import CIRCLE_CIRCUIT_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
 from qsilab.permgroup import Partition, perm_table, sign_table
+from qsilab.protocols import rcir_exact
 from qsilab.qmath import MEASURE_EPS, JointState
 
 _FORMULA_CHUNK = 200_000
@@ -227,6 +230,40 @@ def srs_sample(inst: QsiInstance, m: int, rng: np.random.Generator) -> ProtocolO
     return ProtocolOutcome("YES", m, tuple(transcript))
 
 
+def per_trial_srs_batch(
+    inst: QsiInstance, m: int, rng: np.random.Generator, k: int
+) -> np.ndarray:
+    """k runs of the sequential swap protocol with one evolved state per trial.
+
+    Draws from rng in the same order and sizes as ``srs_batch`` (the first
+    pairs, then per round the pass draws and the kept-register draws), so
+    the two return identical verdicts for identically seeded generators.
+    """
+    if m < 1:
+        raise ValueError("round count must be at least 1")
+    if inst.n != 3:
+        raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
+    if verify_promise(inst) is Verdict.VIOLATED:
+        raise ValueError("instance violates the equal-or-orthogonal promise")
+    coords = np.linalg.qr(np.column_stack([s.amps for s in inst.states]), mode="r")
+    r = len(coords)
+    cube = np.arange(r**3).reshape(r, r, r)
+    pairs = ((1, 2), (1, 3), (2, 3))
+    swaps = np.stack([cube.swapaxes(i - 1, j - 1).reshape(-1) for i, j in pairs])
+    next_pair = np.array([[1, 2], [0, 2], [0, 1]])
+    state = np.broadcast_to(np.einsum("a,b,c->abc", *coords.T).reshape(-1), (k, r**3))
+    pair = rng.integers(3, size=k)
+    alive = np.ones(k, dtype=bool)
+    for round_no in range(1, m + 1):
+        equal = (state + np.take_along_axis(state, swaps[pair], axis=1)) / 2
+        p0 = (np.abs(equal) ** 2).sum(axis=1)
+        alive &= rng.random(k) < p0
+        if round_no < m:
+            state = equal / np.sqrt(np.where(alive, p0, 1.0))[:, None]
+            pair = next_pair[pair, rng.integers(2, size=k)]
+    return alive
+
+
 def permuted_instance(inst: QsiInstance, tau: np.ndarray) -> QsiInstance:
     """Relabel states so position j holds the state formerly at tau[j]."""
     states = tuple(inst.states[int(t)] for t in tau)
@@ -241,6 +278,40 @@ def permuted_instance(inst: QsiInstance, tau: np.ndarray) -> QsiInstance:
             inst.n, tuple(frozenset(b) for b in blocks.values())
         )
     return QsiInstance(states, partition)
+
+
+def worst_merge_rcir(inst: QsiInstance) -> Fraction:
+    """Largest two-block soundness error over the merges of the blocks into
+    two groups: an upper bound on the multi-block value, exact on two blocks."""
+    sizes = [len(b) for b in inst.partition.blocks]
+    achievable: set[int] = set()
+    for pick in range(1, 1 << len(sizes)):
+        r = sum(sz for i, sz in enumerate(sizes) if pick >> i & 1)
+        if 1 <= r <= inst.n - 1:
+            achievable.add(min(r, inst.n - r))
+    return max(rcir_exact(inst.n, r) for r in sorted(achievable))
+
+
+def arrangement_rcir(sizes: list[int]) -> Fraction:
+    """Randomized-circle soundness over every arrangement of the blocks.
+
+    Applies each of the n! relabelings to the blocks laid out in order and
+    writes each resulting label sequence as a base-b code (b blocks); every
+    distinct arrangement comes from the same number of relabelings, so the
+    distinct codes are equally likely. Under the promise the circle test
+    passes with certainty on the cyclic shifts that leave the sequence
+    unchanged, found by rotating the digits of each code, and fails on the
+    rest.
+    """
+    n, base = sum(sizes), len(sizes)
+    labels = np.repeat(np.arange(base, dtype=np.int64), sizes)
+    rows = labels[perm_table(n).astype(np.intp) - 1]
+    codes = np.unique(rows @ base ** np.arange(n, dtype=np.int64))
+    fixed = sum(
+        np.count_nonzero(codes // base**s + codes % base**s * base ** (n - s) == codes)
+        for s in range(n)
+    )
+    return Fraction(int(fixed), n * len(codes))
 
 
 def rcir_sample(inst: QsiInstance, rng: np.random.Generator) -> str:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qsilab.cli import main
+from qsilab import selftest
+from qsilab.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +200,37 @@ class TestProtocolCommand:
         assert got == code
         assert flag in err
 
+    def test_rcir_exact_and_monte_carlo_agree_on_three_blocks(self, capsys, tmp_path):
+        path = tmp_path / "three_blocks.json"
+        path.write_text(json.dumps({"n": 4, "dim": 3, "partition": [[1, 2], [3], [4]]}))
+        code, out, _ = run_cli(capsys, "protocol", "rcir", "--instance", str(path), "--exact")
+        assert code == 0
+        (exact,) = parse_csv(out)
+        assert exact["value_rational"] == "1/4"
+        trials = 20_000
+        code, out, _ = run_cli(capsys, "protocol", "rcir", "--instance", str(path),
+                               "--trials", str(trials), "--seed", "11")
+        assert code == 0
+        (mc,) = parse_csv(out)
+        p = float(exact["value_float"])
+        assert abs(float(mc["p_hat"]) - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+
+    def test_canonical_policy_needs_exact(self, capsys, monkeypatch, orth_triple):
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance loaded before the policy check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("qsilab.cli._load", refuse)
+            code, _, err = run_cli(capsys, "protocol", "srs", "--instance", orth_triple,
+                                   "--m", "2", "--trials", "10", "--policy", "canonical")
+        assert code == 2
+        assert "--policy" in err
+        code, out, _ = run_cli(capsys, "protocol", "srs", "--instance", orth_triple,
+                               "--m", "2", "--exact", "--policy", "canonical")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["policy"] == "canonical" and row["value_rational"] == "1/4"
+
     def test_missing_inputs_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "protocol", "srs", "--exact")
         assert code == 2
@@ -296,3 +331,60 @@ class TestBoundsCommand:
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["pi2_over_6n"]) == pytest.approx(0.27416, abs=5e-6)
+
+
+class TestMain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--kind", "swap", "--instance", "x.json"],
+            ["protocol", "rcir", "--n", "4", "--r", "2", "--trials", "10"],
+            ["sweep", "perm-soundness"],
+            ["bounds", "two-block", "--n", "6", "--l", "3"],
+            ["selftest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_exits_2_naming_it(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the seed check")
+
+        for name in ("_load", "build_instance", "run_all", "two_block_soundness"):
+            monkeypatch.setattr(f"qsilab.cli.{name}", refuse)
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
+
+    def test_failing_selftest_criterion_exits_1(self, capsys, monkeypatch):
+        def failing():
+            return selftest.CriterionResult(1, "always fails", False, "forced failure")
+
+        monkeypatch.setattr(selftest, "ALL_CRITERIA", (failing,))
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        assert out == "criterion 1: FAIL - always fails [forced failure]\n"
+
+    def test_parser_reused_after_bad_argv(self, capsys):
+        good = ["protocol", "rcir", "--n", "4", "--r", "2", "--trials", "500", "--seed", "3"]
+        parser = _build_parser()
+        code, first, _ = run_cli(capsys, *good)
+        assert code == 0
+        with pytest.raises(SystemExit) as bad:
+            main(["protocol", "rcir", "--n", "four"])
+        assert bad.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        code, again, _ = run_cli(capsys, *good)
+        assert code == 0
+        assert again == first
+        with pytest.raises(SystemExit) as shown:
+            main(["--help"])
+        assert shown.value.code == 0
+        assert "usage: qsilab" in capsys.readouterr().out
+        assert _build_parser() is parser
+
+    def test_parser_not_built_at_import(self):
+        probe = "import qsilab.cli as c; print(c._build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout == "0\n"

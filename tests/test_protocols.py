@@ -1,12 +1,20 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
-from oracles import permuted_instance, rcir_sample, srs_sample
+from oracles import (
+    arrangement_rcir,
+    per_trial_srs_batch,
+    permuted_instance,
+    rcir_sample,
+    srs_sample,
+    worst_merge_rcir,
+)
 from qsilab.identity_tests import TestKind as Kind, run_circuit
 from qsilab.instances import QsiInstance, build_instance, haar_unitary, random_unstructured_instance
 from qsilab.limits import CIRCLE_FORMULA_MAX_N, RCIR_EXACT_MAX_N, CapExceededError
@@ -351,6 +359,21 @@ class TestSrsBatch:
         )
         assert _two_sample_bound(batched, oracle)
 
+    @pytest.mark.parametrize(
+        "blocks,dim",
+        [(b, d) for d in (2, 3, 5) for b in THREE_STATE_PARTITIONS if len(b) <= d],
+    )
+    def test_verdicts_equal_per_trial_state_oracle(self, blocks, dim):
+        # one state per pair path must give exactly the verdicts of one state per trial
+        inst = build_instance(Partition.of(blocks), dim, haar_unitary(dim, seed=80 + dim))
+        for m in range(1, 13):
+            for k in (1, 7, MC_BLOCK):
+                seed = [dim, len(blocks), m, k]
+                got = srs_batch(inst, m, np.random.default_rng(seed), k)
+                want = per_trial_srs_batch(inst, m, np.random.default_rng(seed), k)
+                assert got.shape == (k,) and got.dtype == bool
+                assert np.array_equal(got, want), (blocks, dim, m, k)
+
     def test_input_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="3 states"):
@@ -489,15 +512,65 @@ class TestRcirExact:
             rcir_exact(RCIR_EXACT_MAX_N + 1, 1)
 
 
+def _size_tuples(n: int):
+    """Block sizes of every partition of n into at least two blocks, descending."""
+    def parts(rest: int, top: int):
+        if rest == 0:
+            yield ()
+            return
+        for head in range(min(rest, top), 0, -1):
+            for tail in parts(rest - head, head):
+                yield (head,) + tail
+    return [list(p) for p in parts(n, n) if len(p) >= 2]
+
+
+def _consecutive_blocks(sizes) -> Partition:
+    ends = np.cumsum(sizes)
+    return Partition.of([list(range(end - sz + 1, end + 1)) for sz, end in zip(sizes, ends)])
+
+
 class TestRcirExactForInstance:
     def test_two_block_instance(self):
         inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
         assert rcir_exact_for_instance(inst) == rcir_exact(4, 2)
 
-    def test_multi_block_takes_worst_merge(self):
+    def test_multi_block_is_exact_below_worst_merge(self):
+        # the worst two-block merge, max(rcir_exact(6, 2), rcir_exact(6, 3)) = 1/5,
+        # only bounds the three-block value
         inst = build_instance(Partition.of([[1, 2], [3, 4], [5, 6]]), dim=3)
-        expected = max(rcir_exact(6, 2), rcir_exact(6, 3))
+        assert worst_merge_rcir(inst) == max(rcir_exact(6, 2), rcir_exact(6, 3)) == Fraction(1, 5)
+        assert rcir_exact_for_instance(inst) == Fraction(8, 45)
+
+    @pytest.mark.parametrize(
+        "blocks,expected",
+        [([[1, 2], [3], [4]], Fraction(1, 4)), ([[1, 2, 3, 4], [5, 6], [7, 8]], Fraction(9, 70))],
+    )
+    def test_multi_block_examples(self, blocks, expected):
+        inst = build_instance(Partition.of(blocks), dim=len(blocks))
         assert rcir_exact_for_instance(inst) == expected
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_arrangement_oracle(self, n):
+        for sizes in _size_tuples(n):
+            inst = build_instance(_consecutive_blocks(sizes), dim=len(sizes))
+            exact = rcir_exact_for_instance(inst)
+            assert exact == arrangement_rcir(sizes), sizes
+            assert exact <= worst_merge_rcir(inst), sizes
+            if len(sizes) == 2:
+                assert exact == rcir_exact(n, sizes[1]) == worst_merge_rcir(inst)
+
+    def test_block_order_and_labels_do_not_matter(self):
+        a = build_instance(Partition.of([[1, 5], [2], [3, 4, 6]]), dim=3)
+        b = build_instance(_consecutive_blocks([3, 2, 1]), dim=3)
+        assert rcir_exact_for_instance(a) == rcir_exact_for_instance(b) == arrangement_rcir([2, 1, 3])
+
+    def test_needs_partition_and_cap(self):
+        with pytest.raises(ValueError, match="partition"):
+            rcir_exact_for_instance(random_unstructured_instance(4, 2, seed=1))
+        # only the partition is read, so a stand-in spares building 10^4 states
+        over = SimpleNamespace(partition=_consecutive_blocks([RCIR_EXACT_MAX_N - 1, 1, 1]))
+        with pytest.raises(CapExceededError, match="capped"):
+            rcir_exact_for_instance(over)
 
     def test_rejects_yes_instance(self):
         with pytest.raises(ValueError, match="single block"):
