@@ -17,7 +17,6 @@ from .bounds import (
     q_bound_case,
     q_bound_check,
     q_value,
-    symmetric_projector,
     two_block_soundness,
     two_sided_gap_check,
 )
@@ -25,7 +24,6 @@ from .identity_tests import (
     RepetitionSet,
     TestKind,
     TestResult,
-    control_group,
     equal_prob_formula,
     equal_prob_rational,
     repetition_set,
@@ -35,28 +33,16 @@ from .instances import (
     Alignment,
     QsiInstance,
     Verdict,
-    alignment_from_pattern,
     build_instance,
     haar_unitary,
-    instance_from_alignment,
     instance_from_json,
     load_instance,
-    partition_from_alignment,
     random_structured_instance,
     random_unstructured_instance,
     verify_promise,
 )
 from .limits import CapExceededError, max_amplitudes
-from .permgroup import (
-    Partition,
-    Permutation,
-    cycle_power,
-    enumerate_alt,
-    enumerate_sym,
-    setwise_stabilizes,
-    sign,
-    stabilizer_count,
-)
+from .permgroup import Partition, stabilizer_count
 from .protocols import (
     McEstimate,
     SrsClosedForm,
@@ -77,7 +63,6 @@ from .qmath import (
     basis_state,
     inner,
     mixture,
-    pure_density,
     tensor,
     trace_distance,
 )

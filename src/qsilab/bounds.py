@@ -10,15 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations as _lex_permutations
 from typing import NamedTuple
-
-import numpy as np
 
 from .identity_tests import TestKind, permanent, run_circuit
 from .instances import QsiInstance
-from .limits import PROJECTOR_MAX_DIM, SYM_ENUM_MAX_N, CapExceededError
-from .qmath import DensityMatrix, PureState, basis_state, mixture, tensor, trace_distance
+from .limits import SYM_ENUM_MAX_N, CapExceededError
+from .qmath import PureState, basis_state, mixture, tensor, trace_distance
 
 #: Largest n for the factorial-ratio bounds.
 TWO_BLOCK_MAX_N = 40
@@ -137,41 +134,18 @@ def inverse_square_tail_bracket(s_max: int) -> tuple[float, float]:
     return (partial + 1.0 / (s_max + 1), partial + 1.0 / s_max)
 
 
-def symmetric_projector(dim: int, n: int) -> np.ndarray:
-    """Dense projector onto the permutation-symmetric subspace of n registers.
-
-    Averages the n! register-permutation operators; the trace equals
-    C(dim+n-1, n), the dimension of the symmetric subspace.
-    """
-    if dim < 1 or n < 1:
-        raise ValueError("dim and n must be positive")
-    if n > SYM_ENUM_MAX_N:
-        raise CapExceededError(f"projector build capped at n={SYM_ENUM_MAX_N}")
-    space = dim**n
-    if space > PROJECTOR_MAX_DIM:
-        raise CapExceededError(
-            f"dense projector capped at dim^n={PROJECTOR_MAX_DIM}, got {space}"
-        )
-    flat = np.arange(space).reshape((dim,) * n)
-    proj = np.zeros((space, space), dtype=complex)
-    eye = np.arange(space)
-    for images in _lex_permutations(range(n)):
-        target = flat.transpose(images).ravel()
-        proj[target, eye] += 1.0
-    return proj / math.factorial(n)
-
-
 def ps_lower_bound(inst: QsiInstance) -> float:
-    """perm(|G|^2)/n!, the average over all permutations of the squared
-    Gram-entry products.
+    """perm(G)/n!, the overlap of the instance's product state with the
+    symmetric subspace: the permutation test's EQUAL probability, which no
+    identity test goes below.
 
-    Equals the overlap of the instance's product state with the symmetric
-    subspace, computed from the n x n Gram matrix only.
+    Computed from the n x n Gram matrix G only. G is Hermitian, so perm(G) is
+    real and only its real part is divided.
     """
     n = inst.n
     if n > SYM_ENUM_MAX_N:
         raise CapExceededError(f"permutation average capped at n={SYM_ENUM_MAX_N}")
-    return float(permanent(np.abs(inst.gram()) ** 2).real) / math.factorial(n)
+    return float(permanent(inst.gram()).real) / math.factorial(n)
 
 
 @dataclass(frozen=True)

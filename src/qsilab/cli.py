@@ -47,7 +47,6 @@ from .protocols import (
     rcir_exact,
     rcir_exact_for_instance,
     srs_batch,
-    srs_closed_form,
     srs_exact,
 )
 from .selftest import run_all
@@ -184,7 +183,7 @@ def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
     }
     if args.exact:
         if args.protocol == "srs":
-            value = srs_exact(inst, args.m, args.policy)
+            value = srs_exact(inst, args.m)
         elif inst is not None:
             value = rcir_exact_for_instance(inst)
         else:

@@ -27,15 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .instances import Alignment, QsiInstance
-from .limits import (
-    CIRCLE_CIRCUIT_MAX_N,
-    CIRCLE_FORMULA_MAX_N,
-    PERM_CIRCUIT_MAX_N,
-    SYM_ENUM_MAX_N,
-    CapExceededError,
-    max_amplitudes,
-)
-from .permgroup import Permutation, perm_table, sign_table
+from .limits import CIRCLE_FORMULA_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
+from .permgroup import perm_table, sign_table
 from .qmath import MEASURE_EPS, JointState
 
 #: Imaginary parts of the Gram-matrix formula above this are a bug.
@@ -91,21 +84,7 @@ def _group_rows(kind: TestKind, n: int) -> np.ndarray:
     return rows
 
 
-def control_group(kind: TestKind, n: int) -> list[Permutation]:
-    """The permutations applied under control, element 0 always the identity."""
-    _check_kind_n(kind, n)
-    return [Permutation(tuple(int(v) for v in row)) for row in _group_rows(kind, n)]
-
-
-def _circuit_cap(kind: TestKind, n: int, dim: int, group_size: int) -> None:
-    if kind in (TestKind.PERMUTATION, TestKind.ALTERNATION) and n > PERM_CIRCUIT_MAX_N:
-        raise CapExceededError(
-            f"{kind.value} circuit capped at n={PERM_CIRCUIT_MAX_N}, got {n}"
-        )
-    if kind is TestKind.CIRCLE and n > CIRCLE_CIRCUIT_MAX_N:
-        raise CapExceededError(
-            f"circle circuit capped at n={CIRCLE_CIRCUIT_MAX_N}, got {n}"
-        )
+def _circuit_cap(n: int, dim: int, group_size: int) -> None:
     total = group_size * dim**n
     budget = max_amplitudes()
     if total > budget:
@@ -120,8 +99,9 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
     The Fourier transform of control |0> gives every control row the content
     over sqrt(|G|). Row i then holds the content with its registers permuted
     by group element i, and the inverse transform is an FFT along the control
-    axis divided by |G|. Only the outcome-0 post-state is built. The size
-    caps are checked from |G| before any group element is built.
+    axis divided by |G|. Only the outcome-0 post-state is built. The |G| d^n
+    amplitudes are checked against the budget before any group element is
+    built.
     """
     n, d = inst.n, inst.dim
     _check_kind_n(kind, n)
@@ -129,7 +109,7 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
         size = n
     else:
         size = factorial(n) // (2 if kind is TestKind.ALTERNATION else 1)
-    _circuit_cap(kind, n, d, size)
+    _circuit_cap(n, d, size)
 
     content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
     # register m receives the state formerly at p(m): coordinate axes

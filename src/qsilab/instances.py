@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -147,38 +146,6 @@ class Alignment:
     @property
     def r(self) -> int:
         return len(self.members)
-
-
-def alignment_from_pattern(pattern: Sequence[int], s: int) -> Alignment:
-    """Repeat a length-k bit pattern s times around the cycle of n = s*k indices.
-
-    Index j*k + i belongs to the distinguished set iff pattern bit i is set
-    (i is 1-based within the pattern).
-    """
-    if s < 1:
-        raise ValueError("repetition count must be positive")
-    k = len(pattern)
-    if k < 1:
-        raise ValueError("pattern must be nonempty")
-    n = s * k
-    members = frozenset(
-        j * k + i for j in range(s) for i in range(1, k + 1) if pattern[i - 1]
-    )
-    return Alignment(n, members)
-
-
-def partition_from_alignment(a: Alignment) -> Partition:
-    """Two-block partition (members, rest); a single block if one side is empty."""
-    rest = frozenset(range(1, a.n + 1)) - a.members
-    blocks = tuple(b for b in (a.members, rest) if b)
-    return Partition(a.n, blocks)
-
-
-def instance_from_alignment(
-    a: Alignment, dim: int = 2, rotation: np.ndarray | None = None
-) -> QsiInstance:
-    """Canonical instance whose equal/orthogonal structure follows the alignment."""
-    return build_instance(partition_from_alignment(a), dim, rotation)
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

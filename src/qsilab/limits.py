@@ -1,7 +1,11 @@
 """Size caps shared across the package, and the error raised when one is hit.
 
 Everything here is sized for a dense in-memory simulation budget of roughly
-half a gigabyte of complex doubles.
+half a gigabyte of complex doubles. The identity-test circuits have no n cap
+of their own: their |G| d^n amplitudes must fit the budget, and the FFT holds
+a second copy. Near the default budget a circuit peaks at 425-461 MB of
+process RSS (circle test at n=19, d=2; permutation test at n=8, d=2 and at
+n=7, d=3; measured on a 2-core Xeon VM).
 """
 
 import os
@@ -10,15 +14,9 @@ import os
 DEFAULT_MAX_AMPS = 2**24
 
 #: Input cap on n for the permutation and alternation tests' permanent
-#: formula and exact rationals, and for ps_lower_bound's permanent. The group
-#: tables and enumerations in permgroup (10! = 3,628,800 rows) stop here too.
+#: formula and exact rationals, and for ps_lower_bound's permanent. The
+#: permgroup tables and stabilizer counts (10! = 3,628,800 rows) stop here too.
 SYM_ENUM_MAX_N = 10
-
-#: Circuit simulation with an n!-dimensional control register (720 at n=6).
-PERM_CIRCUIT_MAX_N = 6
-
-#: Circuit simulation with an n-dimensional control register.
-CIRCLE_CIRCUIT_MAX_N = 10
 
 #: Gram-matrix closed form for the cyclic-shift test.
 CIRCLE_FORMULA_MAX_N = 24
@@ -26,10 +24,6 @@ CIRCLE_FORMULA_MAX_N = 24
 #: Exact randomized-circle soundness: an input bound on the Burnside sum,
 #: whose binomials grow with n (about 10 ms at this n, 0.5 s at 10**5).
 RCIR_EXACT_MAX_N = 10_000
-
-#: Dense symmetric-subspace projector: the matrix has (dim**n)**2 entries,
-#: so this keeps it within the same ~512 MB budget as the circuits.
-PROJECTOR_MAX_DIM = 2**12
 
 
 class CapExceededError(RuntimeError):

@@ -1,8 +1,8 @@
-"""Permutations on {1..n}: enumeration of the symmetric and alternating
-groups, cyclic shifts, signs, and setwise-stabilizer counts.
+"""Permutations on {1..n}: the symmetric group as a cached table of one-line
+rows with their signs, partitions of {1..n}, and setwise-stabilizer counts.
 
-Counting is exact integer arithmetic throughout; the lexicographic tables are
-cached as small numpy arrays so the n! sweeps stay fast.
+The tables give the control group of the permutation and alternation
+circuits, and the stabilizer counts are exact integers counted over them.
 """
 
 from __future__ import annotations
@@ -19,66 +19,6 @@ from .limits import SYM_ENUM_MAX_N, CapExceededError
 GroupName = Literal["sym", "alt"]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {1..n} in one-line notation: images[i-1] is the image of i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
-        object.__setattr__(self, "images", images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.images[v - 1] for v in other.images))
-
-    __mul__ = compose
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
-
-
-def sign(p: Permutation) -> int:
-    """+1 for even permutations, -1 for odd, via cycle decomposition."""
-    seen = [False] * p.n
-    result = 1
-    for start in range(p.n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p.images[j] - 1
-            length += 1
-        if length % 2 == 0:
-            result = -result
-    return result
-
-
 def _check_enum_cap(n: int, minimum: int) -> None:
     if n < minimum:
         raise ValueError(f"n must be at least {minimum}, got {n}")
@@ -92,7 +32,8 @@ def _check_enum_cap(n: int, minimum: int) -> None:
 def perm_table(n: int) -> np.ndarray:
     """All of S_n as an (n!, n) int8 array of one-line rows, lexicographic.
 
-    Row 0 is the identity. Read-only; shared by the counting routines.
+    Row 0 is the identity. Read-only; shared by the circuit's control group
+    and stabilizer_count.
     """
     _check_enum_cap(n, 1)
     table = np.array(list(_lex_permutations(range(1, n + 1))), dtype=np.int8)
@@ -111,28 +52,6 @@ def sign_table(n: int) -> np.ndarray:
     signs = np.where(odd, -1, 1).astype(np.int8)
     signs.setflags(write=False)
     return signs
-
-
-def enumerate_sym(n: int) -> list[Permutation]:
-    """All n! permutations in lexicographic one-line order (identity first)."""
-    _check_enum_cap(n, 1)
-    return [Permutation(row) for row in _lex_permutations(range(1, n + 1))]
-
-
-def enumerate_alt(n: int) -> list[Permutation]:
-    """The even permutations of enumerate_sym(n), order preserved."""
-    _check_enum_cap(n, 2)
-    rows = perm_table(n)[sign_table(n) == 1]
-    return [Permutation(tuple(int(v) for v in row)) for row in rows]
-
-
-def cycle_power(n: int, j: int) -> Permutation:
-    """The j-th power of the basic cyclic shift i -> i+1 (n -> 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if j < 0:
-        raise ValueError("exponent must be nonnegative")
-    return Permutation(tuple((i + j) % n + 1 for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -175,13 +94,6 @@ class Partition:
             for i in b:
                 lab[i - 1] = idx
         return tuple(lab)
-
-
-def setwise_stabilizes(p: Permutation, part: Partition) -> bool:
-    """True iff p maps every block of the partition into itself."""
-    if p.n != part.n:
-        raise ValueError("permutation and partition sizes differ")
-    return all(p(i) in block for block in part.blocks for i in block)
 
 
 def stabilizer_count(part: Partition, group: GroupName = "sym") -> int:

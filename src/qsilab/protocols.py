@@ -23,15 +23,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .identity_tests import TestKind, _check_kind_n
 from .instances import QsiInstance, Verdict, verify_promise
 from .limits import RCIR_EXACT_MAX_N, CapExceededError
-
-Policy = Literal["uniform", "canonical"]
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -157,7 +155,7 @@ def _exact_norm2(state: dict[int, int]) -> int:
     return sum(amp * amp for amp in state.values())
 
 
-def srs_exact(inst: QsiInstance, m: int, policy: Policy = "uniform") -> Fraction:
+def srs_exact(inst: QsiInstance, m: int) -> Fraction:
     """Exact YES probability of the m-round sequential swap protocol.
 
     The protocol answers YES when all m swap tests pass, so the value is the
@@ -166,21 +164,19 @@ def srs_exact(inst: QsiInstance, m: int, policy: Policy = "uniform") -> Fraction
     test on pair (i, j) projects onto states symmetric under i <-> j, so the
     two registers the uniform policy may keep are interchangeable: keeping
     i and keeping j give post-states that are images of each other under
-    i <-> j, with the same pass probabilities from then on. Both policies
-    therefore follow the keep-the-second-register chain of
-    ``srs_canonical_trace`` and give the same value. The promise partition
+    i <-> j, with the same pass probabilities from then on. The uniform and
+    the keep-the-second-register policies therefore give the same value, the
+    product along the chain of ``srs_canonical_trace``. The promise partition
     fixes the Gram structure, so the canonical basis embedding is used
     regardless of any rotation on the stored states.
 
     Raises ValueError, checked in this order, when m < 1, when the instance
-    does not have exactly 3 states, when it has no promise partition, when
-    its states break the equal-or-orthogonal promise, and when the policy is
-    unknown. A partition implies the promise, which ``QsiInstance`` enforces,
-    so an instance without one reports the missing partition.
+    does not have exactly 3 states, when it has no promise partition, and
+    when its states break the equal-or-orthogonal promise. A partition
+    implies the promise, which ``QsiInstance`` enforces, so an instance
+    without one reports the missing partition.
     """
     traces = [srs_canonical_trace(inst, m, pair) for pair in _PAIRS]
-    if policy not in ("uniform", "canonical"):
-        raise ValueError(f"unknown policy {policy!r}")
     return sum(math.prod(rnd.pass_prob for rnd in trace) for trace in traces) / 3
 
 

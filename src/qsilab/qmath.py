@@ -142,11 +142,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def pure_density(state: PureState) -> DensityMatrix:
-    """Rank-one density matrix |s><s|."""
-    return DensityMatrix(np.outer(state.amps, state.amps.conj()))
-
-
 def mixture(weighted: Sequence[tuple[float, PureState]]) -> DensityMatrix:
     """Convex mixture sum_i w_i |s_i><s_i|; weights must sum to 1."""
     if not weighted:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TextIO
 
-import numpy as np
-
 from .bounds import (
     eq2_bound,
     inverse_square_tail_bracket,
@@ -258,8 +256,6 @@ def criterion_7() -> CriterionResult:
             problems.append(f"m={m}: exact {exact} != 1/3 + (1/3)/4^(m-1)")
         if exact > Fraction(1, 3) + Fraction(1, 4 ** (m - 1)):
             problems.append(f"m={m}: exact {exact} exceeds 1/3 + 1/4^(m-1)")
-        if srs_exact(two_ident, m, "canonical") != exact:
-            problems.append(f"m={m}: pair-choice policy changes the YES probability")
         if srs_exact(build_instance(Partition.of([[1, 2, 3]]), dim=2), m) != 1:
             problems.append(f"m={m}: YES instance not accepted with certainty")
 

@@ -7,7 +7,9 @@ sum over every group element, build every measurement outcome or simulate
 the full d^n state of each trial, so they are slow, but they share no
 formula with the code under test. ``per_trial_srs_batch`` keeps one state
 per trial where ``srs_batch`` keeps one per pair path; the two draw the same
-random numbers, so their verdicts agree exactly.
+random numbers, so their verdicts agree exactly. The permutation objects,
+the dense symmetric projector, the alignment builders and ``pure_density``
+are test-side helpers that the package itself does not need.
 """
 
 from __future__ import annotations
@@ -17,24 +19,189 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations as _lex_permutations
+from typing import Sequence
 
 import numpy as np
 
 from qsilab.identity_tests import (
     TestKind,
     TestResult,
+    _check_kind_n,
     _circuit_cap,
-    control_group,
     equal_prob_formula,
     run_circuit,
 )
-from qsilab.instances import QsiInstance, Verdict, verify_promise
-from qsilab.limits import CIRCLE_CIRCUIT_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
-from qsilab.permgroup import Partition, perm_table, sign_table
+from qsilab.instances import Alignment, QsiInstance, Verdict, build_instance, verify_promise
+from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
+from qsilab.permgroup import Partition, _check_enum_cap, perm_table, sign_table
 from qsilab.protocols import rcir_exact
-from qsilab.qmath import MEASURE_EPS, JointState
+from qsilab.qmath import MEASURE_EPS, DensityMatrix, JointState, PureState
 
 _FORMULA_CHUNK = 200_000
+
+#: Dense symmetric-subspace projector: the matrix has (dim**n)**2 entries,
+#: so this keeps it near 256 MB of complex doubles.
+PROJECTOR_MAX_DIM = 2**12
+
+#: Largest n at which ``rcir_sample`` simulates the circle circuit; above it,
+#: or past the amplitude budget, it draws from the Gram-matrix formula.
+_RCIR_CIRCUIT_MAX_N = 10
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """Bijection on {1..n} in one-line notation: images[i-1] is the image of i."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        images = tuple(int(v) for v in self.images)
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
+        object.__setattr__(self, "images", images)
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(tuple(range(1, n + 1)))
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    @property
+    def is_identity(self) -> bool:
+        return all(v == i for i, v in enumerate(self.images, start=1))
+
+    def __call__(self, i: int) -> int:
+        return self.images[i - 1]
+
+    def compose(self, other: "Permutation") -> "Permutation":
+        """self after other: (self * other)(i) = self(other(i))."""
+        if self.n != other.n:
+            raise ValueError("cannot compose permutations of different sizes")
+        return Permutation(tuple(self.images[v - 1] for v in other.images))
+
+    __mul__ = compose
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.n
+        for i, v in enumerate(self.images, start=1):
+            inv[v - 1] = i
+        return Permutation(tuple(inv))
+
+
+def sign(p: Permutation) -> int:
+    """+1 for even permutations, -1 for odd, via cycle decomposition."""
+    seen = [False] * p.n
+    result = 1
+    for start in range(p.n):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = p.images[j] - 1
+            length += 1
+        if length % 2 == 0:
+            result = -result
+    return result
+
+
+def enumerate_sym(n: int) -> list[Permutation]:
+    """All n! permutations in lexicographic one-line order (identity first)."""
+    _check_enum_cap(n, 1)
+    return [Permutation(row) for row in _lex_permutations(range(1, n + 1))]
+
+
+def enumerate_alt(n: int) -> list[Permutation]:
+    """The even permutations of enumerate_sym(n), order preserved."""
+    _check_enum_cap(n, 2)
+    rows = perm_table(n)[sign_table(n) == 1]
+    return [Permutation(tuple(int(v) for v in row)) for row in rows]
+
+
+def cycle_power(n: int, j: int) -> Permutation:
+    """The j-th power of the basic cyclic shift i -> i+1 (n -> 1)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if j < 0:
+        raise ValueError("exponent must be nonnegative")
+    return Permutation(tuple((i + j) % n + 1 for i in range(n)))
+
+
+def setwise_stabilizes(p: Permutation, part: Partition) -> bool:
+    """True iff p maps every block of the partition into itself."""
+    if p.n != part.n:
+        raise ValueError("permutation and partition sizes differ")
+    return all(p(i) in block for block in part.blocks for i in block)
+
+
+def control_group(kind: TestKind, n: int) -> list[Permutation]:
+    """The permutations applied under control, element 0 always the identity."""
+    _check_kind_n(kind, n)
+    return [Permutation(tuple(int(v) for v in row)) for row in group_rows(kind, n)]
+
+
+def symmetric_projector(dim: int, n: int) -> np.ndarray:
+    """Dense projector onto the permutation-symmetric subspace of n registers.
+
+    Averages the n! register-permutation operators; the trace equals
+    C(dim+n-1, n), the dimension of the symmetric subspace.
+    """
+    if dim < 1 or n < 1:
+        raise ValueError("dim and n must be positive")
+    if n > SYM_ENUM_MAX_N:
+        raise CapExceededError(f"projector build capped at n={SYM_ENUM_MAX_N}")
+    space = dim**n
+    if space > PROJECTOR_MAX_DIM:
+        raise CapExceededError(
+            f"dense projector capped at dim^n={PROJECTOR_MAX_DIM}, got {space}"
+        )
+    flat = np.arange(space).reshape((dim,) * n)
+    proj = np.zeros((space, space), dtype=complex)
+    eye = np.arange(space)
+    for images in _lex_permutations(range(n)):
+        target = flat.transpose(images).ravel()
+        proj[target, eye] += 1.0
+    return proj / math.factorial(n)
+
+
+def pure_density(state: PureState) -> DensityMatrix:
+    """Rank-one density matrix |s><s|."""
+    return DensityMatrix(np.outer(state.amps, state.amps.conj()))
+
+
+def alignment_from_pattern(pattern: Sequence[int], s: int) -> Alignment:
+    """Repeat a length-k bit pattern s times around the cycle of n = s*k indices.
+
+    Index j*k + i belongs to the distinguished set iff pattern bit i is set
+    (i is 1-based within the pattern).
+    """
+    if s < 1:
+        raise ValueError("repetition count must be positive")
+    k = len(pattern)
+    if k < 1:
+        raise ValueError("pattern must be nonempty")
+    n = s * k
+    members = frozenset(
+        j * k + i for j in range(s) for i in range(1, k + 1) if pattern[i - 1]
+    )
+    return Alignment(n, members)
+
+
+def partition_from_alignment(a: Alignment) -> Partition:
+    """Two-block partition (members, rest); a single block if one side is empty."""
+    rest = frozenset(range(1, a.n + 1)) - a.members
+    blocks = tuple(b for b in (a.members, rest) if b)
+    return Partition(a.n, blocks)
+
+
+def instance_from_alignment(
+    a: Alignment, dim: int = 2, rotation: np.ndarray | None = None
+) -> QsiInstance:
+    """Canonical instance whose equal/orthogonal structure follows the alignment."""
+    return build_instance(partition_from_alignment(a), dim, rotation)
 
 
 def dft(n: int) -> np.ndarray:
@@ -75,7 +242,7 @@ def dense_run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
     n, d = inst.n, inst.dim
     group = control_group(kind, n)
     size = len(group)
-    _circuit_cap(kind, n, d, size)
+    _circuit_cap(n, d, size)
 
     content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
     joint = np.zeros((size,) + (d,) * n, dtype=complex)
@@ -318,15 +485,16 @@ def rcir_sample(inst: QsiInstance, rng: np.random.Generator) -> str:
     """One run of the randomized circle protocol: YES on EQUAL, NO otherwise.
 
     Applies a uniformly random relabeling, then runs the cyclic-shift test;
-    the circuit is simulated when it fits the amplitude budget, otherwise the
-    outcome is an exact Bernoulli draw from the closed-form probability.
+    the circuit is simulated up to n = 10 when it fits the amplitude budget,
+    otherwise the outcome is an exact Bernoulli draw from the closed-form
+    probability.
     """
     if verify_promise(inst) is Verdict.VIOLATED:
         raise ValueError("instance violates the equal-or-orthogonal promise")
     tau = rng.permutation(inst.n)
     permuted = permuted_instance(inst, tau)
     n, d = permuted.n, permuted.dim
-    if n <= CIRCLE_CIRCUIT_MAX_N and n * d**n <= max_amplitudes():
+    if n <= _RCIR_CIRCUIT_MAX_N and n * d**n <= max_amplitudes():
         p_equal = run_circuit(TestKind.CIRCLE, permuted).p_equal
     else:
         p_equal = equal_prob_formula(TestKind.CIRCLE, permuted)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
-from oracles import lex_ps_lower_bound
+from oracles import group_sum_formula, lex_ps_lower_bound, pure_density, symmetric_projector
 from qsilab.bounds import (
     CASE_FULL_R,
     CASE_HALF_R,
@@ -18,7 +18,6 @@ from qsilab.bounds import (
     q_bound_case,
     q_bound_check,
     q_value,
-    symmetric_projector,
     two_block_soundness,
     two_sided_gap_check,
 )
@@ -30,7 +29,7 @@ from qsilab.instances import (
 )
 from qsilab.limits import CapExceededError
 from qsilab.permgroup import Partition
-from qsilab.qmath import pure_density, tensor
+from qsilab.qmath import tensor
 
 
 class TestTwoBlockSoundness:
@@ -206,6 +205,10 @@ class TestPsLowerBound:
             all_orthogonal(3),
             random_structured_instance(3, seed=5, rotate=True),
             random_structured_instance(4, seed=6, rotate=True, max_blocks=2),
+            random_unstructured_instance(3, 2, seed=3),
+            random_unstructured_instance(2, 3, seed=11),
+            random_unstructured_instance(4, 2, seed=12),
+            random_unstructured_instance(3, 4, seed=13),
         ]
         for inst in cases:
             proj = symmetric_projector(inst.dim, inst.n)
@@ -223,11 +226,16 @@ class TestPsLowerBound:
                 assert equal_prob_formula(kind, inst) >= floor - 1e-9
 
     def test_matches_lex_permutation_oracle(self):
-        cases = [two_block(5, 2), all_orthogonal(4), yes_instance(6)]
+        # under the promise every |G[i,j]| is 0 or 1 and the phases cancel
+        # around each cycle, so the |G|^2 products equal the G products;
+        # arbitrary states need the complex group sum
+        promise = [two_block(5, 2), all_orthogonal(4), yes_instance(6)]
         for n in range(2, 9):
-            cases.append(random_structured_instance(n, seed=60 + n, rotate=True))
-            cases.append(random_unstructured_instance(n, 2, seed=70 + n))
-        for inst in cases:
+            promise.append(random_structured_instance(n, seed=60 + n, rotate=True))
+            inst = random_unstructured_instance(n, 2, seed=70 + n)
+            want = group_sum_formula(TestKind.PERMUTATION, inst).real
+            assert abs(ps_lower_bound(inst) - want) <= 1e-12
+        for inst in promise:
             assert abs(ps_lower_bound(inst) - lex_ps_lower_bound(inst)) <= 1e-12
 
     def test_cap(self):

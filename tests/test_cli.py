@@ -89,13 +89,15 @@ class TestTestCommand:
                              "--instance", str(tmp_path / "nope.json"))
         assert code == 2
 
-    def test_cap_violation_exits_3(self, capsys, tmp_path):
+    def test_cap_violation_exits_3(self, capsys, tmp_path, monkeypatch):
+        # 9! * 2^9 amplitudes overflow the default budget of 2^24
+        monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({"n": 8, "dim": 2, "partition": [[1, 2, 3, 4, 5, 6, 7, 8]]}))
+        path.write_text(json.dumps({"n": 9, "dim": 2, "partition": [list(range(1, 10))]}))
         code, _, err = run_cli(capsys, "test", "--kind", "permutation",
                                "--instance", str(path), "--mode", "circuit")
         assert code == 3
-        assert "capped" in err
+        assert "budget" in err and "QSI_MAX_AMPS" in err
 
     def test_non_real_formula_exits_2(self, capsys, orth_pair, monkeypatch):
         def non_real(kind, inst):

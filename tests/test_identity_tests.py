@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import two_block, yes_instance
 from oracles import (
+    control_group,
+    cycle_power,
     dense_run_circuit,
+    enumerate_alt,
+    enumerate_sym,
     group_sum_formula,
+    instance_from_alignment,
     set_partitions,
     shift_count_rational,
 )
 from qsilab.identity_tests import (
     TestKind,
-    control_group,
     equal_prob_formula,
     equal_prob_rational,
     permanent,
@@ -29,12 +33,11 @@ from qsilab.instances import (
     QsiInstance,
     build_instance,
     haar_unitary,
-    instance_from_alignment,
     random_structured_instance,
     random_unstructured_instance,
 )
 from qsilab.limits import CapExceededError
-from qsilab.permgroup import Partition, cycle_power, enumerate_alt, enumerate_sym, stabilizer_count
+from qsilab.permgroup import Partition, stabilizer_count
 
 ALL_KINDS = [TestKind.SWAP, TestKind.CIRCLE, TestKind.PERMUTATION, TestKind.ALTERNATION]
 FLAVORS = ["plain", "rotated", "unstructured"]
@@ -133,20 +136,38 @@ class TestRunCircuit:
         result = run_circuit(TestKind.CIRCLE, inst)
         assert 0.0 <= result.p_equal <= 1.0 + 1e-12
 
-    def test_circuit_caps(self):
-        with pytest.raises(CapExceededError):
-            run_circuit(TestKind.PERMUTATION, yes_instance(7))
-        with pytest.raises(CapExceededError):
-            run_circuit(TestKind.CIRCLE, yes_instance(11))
+    def test_circuit_caps(self, monkeypatch):
+        # default budget 2^24: 9! * 2^9 and 20 * 2^20 amplitudes overflow it
+        monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
+        with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
+            run_circuit(TestKind.PERMUTATION, yes_instance(9))
+        with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
+            run_circuit(TestKind.CIRCLE, yes_instance(20))
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [(TestKind.PERMUTATION, 7), (TestKind.ALTERNATION, 7),
+         (TestKind.CIRCLE, 11), (TestKind.CIRCLE, 12), (TestKind.CIRCLE, 13)],
+    )
+    def test_budget_alone_caps_the_circuit(self, kind, n, monkeypatch):
+        monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
+        for inst in (
+            random_structured_instance(n, seed=90 + n, rotate=True, dim=2, max_blocks=2),
+            random_unstructured_instance(n, 2, seed=90 + n),
+        ):
+            assert inst.dim == 2
+            circuit = run_circuit(kind, inst).p_equal
+            assert abs(circuit - equal_prob_formula(kind, inst)) <= 1e-9
 
     def test_caps_checked_before_group_is_built(self, monkeypatch):
         def refuse(n):
             raise AssertionError(f"perm_table({n}) built before the cap check")
 
+        monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
         monkeypatch.setattr("qsilab.identity_tests.perm_table", refuse)
         for kind in (TestKind.PERMUTATION, TestKind.ALTERNATION):
-            with pytest.raises(CapExceededError):
-                run_circuit(kind, yes_instance(7))
+            with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
+                run_circuit(kind, yes_instance(9))
         monkeypatch.setenv("QSI_MAX_AMPS", "100")  # 3! * 2^3 = 48 fits, 4! * 2^4 does not
         with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
             run_circuit(TestKind.PERMUTATION, yes_instance(4))

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
+from oracles import alignment_from_pattern, instance_from_alignment, partition_from_alignment
 from qsilab.instances import (
     Alignment,
     QsiInstance,
     Verdict,
-    alignment_from_pattern,
     build_instance,
     haar_unitary,
-    instance_from_alignment,
     instance_from_json,
     load_instance,
-    partition_from_alignment,
     random_structured_instance,
     random_unstructured_instance,
     verify_promise,

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsilab.limits import CapExceededError
-from qsilab.permgroup import (
-    Partition,
+from oracles import (
     Permutation,
     cycle_power,
     enumerate_alt,
     enumerate_sym,
-    perm_table,
     setwise_stabilizes,
     sign,
-    sign_table,
-    stabilizer_count,
 )
+from qsilab.limits import CapExceededError
+from qsilab.permgroup import Partition, perm_table, sign_table, stabilizer_count
 
 
 class TestPermutation:

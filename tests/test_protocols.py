@@ -21,6 +21,7 @@ from qsilab.limits import CIRCLE_FORMULA_MAX_N, RCIR_EXACT_MAX_N, CapExceededErr
 from qsilab.permgroup import Partition
 from qsilab.qmath import PureState
 from qsilab.bounds import eq2_bound
+from qsilab.cli import main as cli_main
 from qsilab.protocols import (
     MC_BLOCK,
     _circle_equal_probs,
@@ -176,14 +177,15 @@ class TestSrsExact:
         ]
         for inst in shapes:
             for m in range(1, 6):
-                assert srs_exact(inst, m, "uniform") == srs_exact(inst, m, "canonical")
+                for policy in ("uniform", "canonical"):
+                    assert srs_exact(inst, m) == branching_srs(inst, m, policy)
 
     @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
     def test_matches_uniform_branching_oracle(self, blocks):
         inst = build_instance(Partition.of(blocks), dim=3)
         for m in range(1, 9):
             for policy in ("uniform", "canonical"):
-                assert srs_exact(inst, m, policy) == branching_srs(inst, m, policy)
+                assert srs_exact(inst, m) == branching_srs(inst, m, policy)
 
     def test_two_identical_labelings_agree(self):
         for blocks in ([[1, 2], [3]], [[2, 3], [1]], [[1, 3], [2]]):
@@ -202,9 +204,14 @@ class TestSrsExact:
         with pytest.raises(ValueError, match="partition"):
             srs_exact(random_unstructured_instance(3, 2, seed=4), 1)
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            srs_exact(TWO_IDENT, 1, "leftmost")
+    def test_unknown_policy(self, tmp_path, capsys):
+        path = tmp_path / "two_ident.json"
+        path.write_text('{"n": 3, "dim": 2, "partition": [[1, 3], [2]]}')
+        with pytest.raises(SystemExit) as bad:
+            cli_main(["protocol", "srs", "--instance", str(path), "--exact",
+                      "--policy", "bogus"])
+        assert bad.value.code == 2
+        assert "--policy" in capsys.readouterr().err
 
 
 class TestSrsCanonicalTrace:

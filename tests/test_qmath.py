@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd_density
-from oracles import dft, measure_first_register
+from oracles import dft, measure_first_register, pure_density
 from qsilab.qmath import (
     DensityMatrix,
     JointState,
@@ -12,7 +12,6 @@ from qsilab.qmath import (
     basis_state,
     inner,
     mixture,
-    pure_density,
     tensor,
     trace_distance,
 )
