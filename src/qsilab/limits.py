@@ -1,11 +1,11 @@
 """Size caps shared across the package, and the error raised when one is hit.
 
-Everything here is sized for a dense in-memory simulation budget of roughly
-half a gigabyte of complex doubles. The identity-test circuits have no n cap
-of their own: their |G| d^n amplitudes must fit the budget, and the FFT holds
-a second copy. Near the default budget a circuit peaks at 425-461 MB of
-process RSS (circle test at n=19, d=2; permutation test at n=8, d=2 and at
-n=7, d=3; measured on a 2-core Xeon VM).
+The identity-test circuits have no n cap of their own: the |G| d^n
+amplitudes of the full circuit must fit the dense-amplitude budget. Only the
+EQUAL branch is simulated, one d^n array summed over the |G| group elements,
+so the budget bounds the work, not the memory: near the default budget a
+`qsilab test --mode both` process peaks at 39-69 MB of RSS (permutation test
+at n=8, d=2 and n=7, d=3; circle test at n=19, d=2; 2-core Xeon VM).
 """
 
 import os

@@ -1,7 +1,6 @@
 """Dense complex linear algebra for small multi-register quantum systems:
 pure and joint states, tensor and inner products, density matrices and the
-trace distance. The control-register Fourier transform and measurement of the
-identity-test circuit are done in `identity_tests.run_circuit`, with
+trace distance. The identity-test circuit, `identity_tests.run_circuit`, takes
 MEASURE_EPS from here.
 
 All value objects are immutable after construction and every operation is a
@@ -20,7 +19,7 @@ import numpy as np
 NORM_ATOL = 1e-9
 #: Tolerance for Hermiticity / trace / positivity checks on density matrices.
 MATRIX_ATOL = 1e-10
-#: Measurement outcomes below this probability are dropped.
+#: Outcomes below this probability count as unreachable and get no post-state.
 MEASURE_EPS = 1e-14
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from qsilab.identity_tests import (
     TestKind,
-    TestResult,
     _check_kind_n,
     _circuit_cap,
     equal_prob_formula,
@@ -236,7 +235,21 @@ def measure_first_register(s: JointState) -> list[tuple[int, float, JointState]]
     return results
 
 
-def dense_run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
+@dataclass(frozen=True)
+class DenseCircuitResult:
+    """Every control outcome of one dense circuit simulation.
+
+    p_equal and post_equal are the EQUAL branch, as in ``TestResult``;
+    outcome_distribution lists (outcome, probability) for every outcome at
+    or above MEASURE_EPS.
+    """
+
+    p_equal: float
+    post_equal: JointState | None
+    outcome_distribution: tuple[tuple[int, float], ...]
+
+
+def dense_run_circuit(kind: TestKind, inst: QsiInstance) -> DenseCircuitResult:
     """The circuit with both Fourier transforms as dense |G| x |G| matrices
     and a full-size post-state for every control outcome."""
     n, d = inst.n, inst.dim
@@ -265,7 +278,7 @@ def dense_run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
             content_amps = post.amps.reshape(size, -1)[0]
             post_equal = JointState((d,) * n, content_amps)
             break
-    return TestResult(p_equal, post_equal, distribution)
+    return DenseCircuitResult(p_equal, post_equal, distribution)
 
 
 def group_rows(kind: TestKind, n: int) -> np.ndarray:

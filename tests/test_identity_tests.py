@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 from itertools import permutations
@@ -108,14 +109,28 @@ class TestRunCircuit:
         assert run_circuit(TestKind.CIRCLE, inst).p_equal == pytest.approx(0.5, abs=1e-12)
 
     def test_outcome_distribution_sums_to_one(self):
+        # run_circuit simulates outcome 0 only; the dense oracle has them all
         for kind in ALL_KINDS:
             n = 2 if kind is TestKind.SWAP else 3
             inst = random_structured_instance(n, seed=17, rotate=True)
-            result = run_circuit(kind, inst)
+            result = dense_run_circuit(kind, inst)
             total = sum(p for _, p in result.outcome_distribution)
             assert total == pytest.approx(1.0, abs=1e-10)
             zero_entry = dict(result.outcome_distribution).get(0, 0.0)
-            assert result.p_equal == zero_entry
+            assert abs(run_circuit(kind, inst).p_equal - zero_entry) <= 1e-12
+
+    @pytest.mark.parametrize("kind,n,dim", [(TestKind.PERMUTATION, 7, 2), (TestKind.ALTERNATION, 6, 3)])
+    def test_peak_memory_is_a_few_content_arrays(self, kind, n, dim):
+        # the full circuit holds |G| d^n amplitudes; the EQUAL branch needs no such stack
+        inst = random_unstructured_instance(n, dim, seed=n + dim)
+        size = math.factorial(n) // (2 if kind is TestKind.ALTERNATION else 1)
+        tracemalloc.start()
+        try:
+            run_circuit(kind, inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size * dim**n * 16 / 4
 
     def test_post_equal_is_symmetrized(self):
         result = run_circuit(TestKind.SWAP, two_block(2, 1))
@@ -239,9 +254,7 @@ class TestCircuitMatchesDenseOracle:
         for flavor in ("rotated", "unstructured"):
             inst = flavored_instance(flavor, n, seed=500 + 10 * n + dim, dim=dim)
             got, want = run_circuit(kind, inst), dense_run_circuit(kind, inst)
-            got_dist, want_dist = dict(got.outcome_distribution), dict(want.outcome_distribution)
-            for outcome in got_dist.keys() | want_dist.keys():
-                assert abs(got_dist.get(outcome, 0.0) - want_dist.get(outcome, 0.0)) <= 1e-12
+            assert sum(p for _, p in want.outcome_distribution) == pytest.approx(1.0, abs=1e-10)
             assert abs(got.p_equal - want.p_equal) <= 1e-12
             assert got.post_equal.factor_dims == want.post_equal.factor_dims
             assert np.max(np.abs(got.post_equal.amps - want.post_equal.amps)) <= 1e-12

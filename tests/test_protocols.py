@@ -373,13 +373,21 @@ class TestSrsBatch:
     def test_verdicts_equal_per_trial_state_oracle(self, blocks, dim):
         # one state per pair path must give exactly the verdicts of one state per trial
         inst = build_instance(Partition.of(blocks), dim, haar_unitary(dim, seed=80 + dim))
-        for m in range(1, 13):
-            for k in (1, 7, MC_BLOCK):
-                seed = [dim, len(blocks), m, k]
-                got = srs_batch(inst, m, np.random.default_rng(seed), k)
-                want = per_trial_srs_batch(inst, m, np.random.default_rng(seed), k)
-                assert got.shape == (k,) and got.dtype == bool
-                assert np.array_equal(got, want), (blocks, dim, m, k)
+        cases = [(m, k) for m in range(1, 13) for k in (1, 7, MC_BLOCK)]
+        for m, k in cases + [(16, MC_BLOCK), (20, MC_BLOCK)]:
+            seed = [dim, len(blocks), m, k]
+            got = srs_batch(inst, m, np.random.default_rng(seed), k)
+            want = per_trial_srs_batch(inst, m, np.random.default_rng(seed), k)
+            assert got.shape == (k,) and got.dtype == bool
+            assert np.array_equal(got, want), (blocks, dim, m, k)
+
+    def test_only_trial_dies_early(self):
+        # with no live trial left the rounds stop, and the verdict is still NO
+        inst = build_instance(Partition.of([[1], [2], [3]]), 3, haar_unitary(3, seed=83))
+        seed = next(s for s in range(100) if not srs_batch(inst, 1, np.random.default_rng(s), 1)[0])
+        got = srs_batch(inst, 20, np.random.default_rng(seed), 1)
+        want = per_trial_srs_batch(inst, 20, np.random.default_rng(seed), 1)
+        assert not got[0] and np.array_equal(got, want)
 
     def test_input_validation(self):
         rng = np.random.default_rng(0)
