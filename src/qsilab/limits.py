@@ -1,16 +1,16 @@
 """Size caps shared across the package, and the error raised when one is hit.
 
 The identity-test circuits have no n cap of their own: the |G| d^n
-amplitudes of the full circuit must fit the dense-amplitude budget. Only the
-EQUAL branch is simulated, one d^n array summed over the |G| group elements,
-so the budget bounds the work, not the memory: near the default budget a
-`qsilab test --mode both` process peaks at 39-69 MB of RSS (permutation test
-at n=8, d=2 and n=7, d=3; circle test at n=19, d=2; 2-core Xeon VM).
+amplitude additions of their EQUAL branch, one d^n array summed over the |G|
+group elements, must fit the work budget. The budget bounds the work, not
+the memory: near the default budget a `qsilab test --mode both` process
+peaks at 39-69 MB of RSS (permutation test at n=8, d=2 and n=7, d=3; circle
+test at n=19, d=2; 2-core Xeon VM).
 """
 
 import os
 
-#: Default budget for dense complex amplitude vectors (~256 MB of complex128).
+#: Default budget on a circuit's |G| d^n work (amplitude additions), not memory.
 DEFAULT_MAX_AMPS = 2**24
 
 #: Input cap on n for the permutation and alternation tests' permanent
@@ -31,6 +31,6 @@ class CapExceededError(RuntimeError):
 
 
 def max_amplitudes() -> int:
-    """Dense-amplitude budget; override with the QSI_MAX_AMPS env var."""
+    """Circuit work budget (|G| d^n); override with the QSI_MAX_AMPS env var."""
     raw = os.environ.get("QSI_MAX_AMPS")
     return int(raw) if raw else DEFAULT_MAX_AMPS

@@ -87,16 +87,15 @@ def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np
     orthonormal basis of the span of the three: the columns of R in the QR
     factorization of the d x 3 state matrix, at most 27 amplitudes whatever
     d is. A trial's state depends only on the pairs it has tested, so the
-    states form a table with one row per distinct pair path of the live
-    trials (at most min(live trials, 3 * 2^(t-1)) rows in round t), and each
-    trial holds its row's slot; dead trials point at row 0. Each round
-    computes, once per row, the EQUAL branch (state + swapped)/2 and its
-    probability p0; each trial passes with its row's p0 and then keeps the
-    leftover register plus one of the two tested ones, so a row has at most
-    two children, each renormalized by the parent's p0. Every trial draws as
-    it would with one state per trial, until no trial is alive. A kept row's
-    p0 is at least 1/4: a state symmetric under the last pair has swap
-    expectation at least -1/2 on any other pair.
+    states form a table with one row per distinct pair path (at most
+    min(k, 3 * 2^(t-1)) rows in round t) and each trial holds its row's
+    slot. Each round computes, once per row, the EQUAL branch
+    (state + swapped)/2 and its probability p0; each trial passes with its
+    row's p0 and then keeps the leftover register plus one of the two
+    tested ones, so a row has at most two children, each renormalized by
+    the parent's p0. That p0 is at least 1/4 even on rows whose trials all
+    failed: a state symmetric under the last pair has swap expectation at
+    least -1/2 on any other pair.
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
@@ -113,14 +112,11 @@ def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np
         equal = (table + np.take_along_axis(table, swaps[pair], axis=1)) / 2
         p0 = (np.abs(equal) ** 2).sum(axis=1)
         alive &= rng.random(k) < p0[slot]
-        if round_no == m or not alive.any():
-            break
-        key = 2 * slot + rng.integers(2, size=k)
-        kept = np.bincount(key[alive], minlength=2 * len(table)) > 0
-        parent, bit = np.divmod(np.flatnonzero(kept), 2)
-        slot = np.where(alive, np.cumsum(kept)[key] - 1, 0)
-        table = equal[parent] / np.sqrt(p0[parent])[:, None]
-        pair = _NEXT_PAIR[pair[parent], bit]
+        if round_no < m:
+            child, slot = np.unique(2 * slot + rng.integers(2, size=k), return_inverse=True)
+            parent = child // 2
+            table = equal[parent] / np.sqrt(p0[parent])[:, None]
+            pair = _NEXT_PAIR[pair[parent], child % 2]
     return alive
 
 

@@ -254,7 +254,6 @@ class TestCircuitMatchesDenseOracle:
         for flavor in ("rotated", "unstructured"):
             inst = flavored_instance(flavor, n, seed=500 + 10 * n + dim, dim=dim)
             got, want = run_circuit(kind, inst), dense_run_circuit(kind, inst)
-            assert sum(p for _, p in want.outcome_distribution) == pytest.approx(1.0, abs=1e-10)
             assert abs(got.p_equal - want.p_equal) <= 1e-12
             assert got.post_equal.factor_dims == want.post_equal.factor_dims
             assert np.max(np.abs(got.post_equal.amps - want.post_equal.amps)) <= 1e-12

@@ -382,7 +382,7 @@ class TestSrsBatch:
             assert np.array_equal(got, want), (blocks, dim, m, k)
 
     def test_only_trial_dies_early(self):
-        # with no live trial left the rounds stop, and the verdict is still NO
+        # a trial that fails in round 1 stays NO through the later rounds
         inst = build_instance(Partition.of([[1], [2], [3]]), 3, haar_unitary(3, seed=83))
         seed = next(s for s in range(100) if not srs_batch(inst, 1, np.random.default_rng(s), 1)[0])
         got = srs_batch(inst, 20, np.random.default_rng(seed), 1)
