@@ -42,7 +42,7 @@ from .instances import (
     verify_promise,
 )
 from .limits import CapExceededError, max_amplitudes
-from .permgroup import Partition, stabilizer_count
+from .permgroup import Partition
 from .protocols import (
     McEstimate,
     SrsClosedForm,

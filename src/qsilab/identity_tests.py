@@ -6,7 +6,12 @@ procedure densely: prepare control |0> (x) states, Fourier-transform the
 control, apply the controlled register permutation, invert the transform, and
 measure the control, where outcome 0 means EQUAL. Only that outcome is
 simulated: its amplitude is the mean of the register-permuted copies of the
-content, accumulated in one d^n array.
+content. For the cyclic shifts that is n copies. Over the symmetric group the
+mean factors over cosets, avg over S_(k+1) = ((1 + sum_(j<=k) (j, k+1))/(k+1))
+avg over S_k (the recursive symmetrisation of Barenco et al., SIAM J. Comput.
+26 (1997) 1541), so the circuit adds n(n+1)/2 - 1 copies one register at a
+time and never lists the group; the alternating group's mean is the
+symmetric plus the antisymmetric projection.
 `equal_prob_formula` evaluates the same EQUAL probability from the n x n Gram
 matrix G, which never touches a dim^n-sized object: perm(G)/n! for the
 permutation test, (perm(G) + det(G))/n! for the alternation test, and the
@@ -28,7 +33,6 @@ import numpy as np
 
 from .instances import Alignment, QsiInstance
 from .limits import CIRCLE_FORMULA_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
-from .permgroup import perm_table, sign_table
 from .qmath import MEASURE_EPS, JointState
 
 #: Imaginary parts of the Gram-matrix formula above this are a bug.
@@ -69,28 +73,33 @@ def _check_kind_n(kind: TestKind, n: int) -> None:
             )
     elif n > SYM_ENUM_MAX_N:
         raise CapExceededError(
-            f"{kind.value} group enumeration capped at n={SYM_ENUM_MAX_N}, got {n}"
+            f"permutation and alternation tests capped at n={SYM_ENUM_MAX_N}, got {n}"
         )
 
 
-def _group_rows(kind: TestKind, n: int) -> np.ndarray:
-    """One-line images of the control group, one row each, identity first."""
-    if kind in (TestKind.SWAP, TestKind.CIRCLE):
-        cols = np.arange(n)
-        return (cols + cols[:, None]) % n + 1
-    rows = perm_table(n)
-    if kind is TestKind.ALTERNATION:
-        rows = rows[sign_table(n) == 1]
-    return rows
-
-
-def _circuit_cap(n: int, dim: int, group_size: int) -> None:
-    total = group_size * dim**n
+def _circuit_cap(n: int, dim: int, copies: int) -> None:
+    total = copies * dim**n
     budget = max_amplitudes()
     if total > budget:
         raise CapExceededError(
-            f"circuit needs {total} amplitudes, budget is {budget} (QSI_MAX_AMPS)"
+            f"circuit adds {copies} permuted copies of {dim}^{n} amplitudes, "
+            f"{total} in all; budget is {budget} (QSI_MAX_AMPS)"
         )
+
+
+def _coset_mean(content: np.ndarray, sign: int) -> np.ndarray:
+    """Mean of the register-permuted copies over S_n, each weighted by
+    sign(p) when sign is -1: the symmetric (+1) or antisymmetric (-1)
+    projection, built one coset of S_k in S_(k+1) at a time."""
+    add = np.add if sign > 0 else np.subtract
+    x = content
+    for k in range(1, content.ndim):
+        acc = x.copy()
+        for j in range(k):
+            add(acc, x.swapaxes(j, k), out=acc)
+        acc /= k + 1
+        x = acc
+    return x
 
 
 def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
@@ -99,24 +108,35 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
     The Fourier transform of control |0> gives every control row the content
     over sqrt(|G|), row i permuted by group element i; outcome 0 of the
     inverse transform sums the rows over sqrt(|G|), so its amplitude is the
-    mean of the |G| permuted copies. The full circuit's |G| d^n amplitudes
-    are checked against the budget before any group element is built.
+    mean of the |G| permuted copies. For swap and circle that is the mean of
+    the n cyclic shifts. For the permutation test it is the symmetric
+    projection, built by the coset identity avg over S_(k+1) = ((1 +
+    sum_(j<=k) (j, k+1))/(k+1)) avg over S_k, and for the alternation test
+    the symmetric plus the antisymmetric projection, since (1 + sign(p))/2
+    picks out the even permutations. The copies added times d^n are checked
+    against the budget before the content is built.
     """
     n, d = inst.n, inst.dim
     _check_kind_n(kind, n)
     if kind in (TestKind.SWAP, TestKind.CIRCLE):
-        size = n
+        copies = n
     else:
-        size = factorial(n) // (2 if kind is TestKind.ALTERNATION else 1)
-    _circuit_cap(n, d, size)
+        copies = (n * (n + 1) // 2 - 1) * (2 if kind is TestKind.ALTERNATION else 1)
+    _circuit_cap(n, d, copies)
 
     content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
-    equal = np.zeros_like(content)
-    # register m receives the state formerly at p(m): coordinate axes
-    # permute by the one-line images
-    for row in (_group_rows(kind, n) - 1).tolist():
-        equal += content.transpose(row)
-    equal /= size
+    if kind is TestKind.PERMUTATION:
+        equal = _coset_mean(content, 1)
+    elif kind is TestKind.ALTERNATION:
+        equal = _coset_mean(content, 1)
+        equal += _coset_mean(content, -1)
+    else:
+        # register m receives the state formerly at m + shift (mod n)
+        cols = np.arange(n)
+        equal = np.zeros_like(content)
+        for shift in range(n):
+            equal += content.transpose((cols + shift) % n)
+        equal /= n
     p_equal = float(np.vdot(equal, equal).real)
     if p_equal < MEASURE_EPS:
         return TestResult(0.0, None)

@@ -1,21 +1,22 @@
 """Size caps shared across the package, and the error raised when one is hit.
 
-The identity-test circuits have no n cap of their own: the |G| d^n
-amplitude additions of their EQUAL branch, one d^n array summed over the |G|
-group elements, must fit the work budget. The budget bounds the work, not
-the memory: near the default budget a `qsilab test --mode both` process
-peaks at 39-69 MB of RSS (permutation test at n=8, d=2 and n=7, d=3; circle
-test at n=19, d=2; 2-core Xeon VM).
+The identity-test circuits have no n cap of their own: the register-permuted
+copies of the d^n content that their EQUAL branch adds must fit the work
+budget, counted as copies times d^n. Swap and circle add their n cyclic
+shifts; the permutation test adds n(n+1)/2 - 1 copies, one transposition
+coset per register, and the alternation test twice that. The budget bounds
+the work, not the memory: near the default budget a `qsilab test --mode both`
+process peaks at 38-66 MB of RSS (permutation and alternation tests at n=10,
+d=3; circle test at n=19, d=2; 2-core Xeon VM).
 """
 
 import os
 
-#: Default budget on a circuit's |G| d^n work (amplitude additions), not memory.
+#: Default budget on a circuit's work, copies added times d^n, not memory.
 DEFAULT_MAX_AMPS = 2**24
 
-#: Input cap on n for the permutation and alternation tests' permanent
-#: formula and exact rationals, and for ps_lower_bound's permanent. The
-#: permgroup tables and stabilizer counts (10! = 3,628,800 rows) stop here too.
+#: Input cap on n for the permutation and alternation tests (circuit,
+#: permanent formula and exact rationals) and for ps_lower_bound's permanent.
 SYM_ENUM_MAX_N = 10
 
 #: Gram-matrix closed form for the cyclic-shift test.
@@ -31,6 +32,6 @@ class CapExceededError(RuntimeError):
 
 
 def max_amplitudes() -> int:
-    """Circuit work budget (|G| d^n); override with the QSI_MAX_AMPS env var."""
+    """Circuit work budget (copies added times d^n); override with QSI_MAX_AMPS."""
     raw = os.environ.get("QSI_MAX_AMPS")
     return int(raw) if raw else DEFAULT_MAX_AMPS

@@ -35,7 +35,7 @@ from .instances import (
     random_structured_instance,
     random_unstructured_instance,
 )
-from .permgroup import Partition, stabilizer_count
+from .permgroup import Partition
 from .protocols import (
     mc_run,
     rcir_exact,
@@ -134,14 +134,12 @@ def criterion_3() -> CriterionResult:
         for l in range(1, n):
             want = two_block_soundness(n, l).value
             inst = _two_block(n, l)
-            groups = [(TestKind.PERMUTATION, "sym", math.factorial(n))]
-            if n >= 3:
-                groups.append((TestKind.ALTERNATION, "alt", math.factorial(n) // 2))
-            for kind, group, order in groups:
-                counted = Fraction(stabilizer_count(inst.partition, group), order)
+            kinds = [TestKind.PERMUTATION] + ([TestKind.ALTERNATION] if n >= 3 else [])
+            for kind in kinds:
+                circuit = run_circuit(kind, inst).p_equal
                 got = equal_prob_rational(kind, inst)
-                if counted != want or got != want:
-                    problems.append(f"{kind.value} n={n} l={l}: {counted} (count), {got} != {want}")
+                if abs(circuit - float(want)) > 1e-12 or got != want:
+                    problems.append(f"{kind.value} n={n} l={l}: {circuit!r} (circuit), {got} != {want}")
                 checked += 1
     if equal_prob_rational(TestKind.PERMUTATION, _two_block(3, 2)) != Fraction(1, 3):
         problems.append("(n,l)=(3,2) is not exactly 1/3")
@@ -166,12 +164,12 @@ def criterion_4() -> CriterionResult:
     pool: list[QsiInstance] = []
     pool += [_two_block(n, l) for n in (2, 3, 4, 5, 6) for l in range(1, n)]
     pool += [random_structured_instance(n, seed=7_700 + n, rotate=True) for n in (2, 3, 4)]
+    pool += [random_unstructured_instance(n, dim, seed=7_800 + 100 * n + 10 * dim + s)
+             for n in range(3, 9) for dim in (2, 3, 4) for s in range(5)]
     for inst in pool:
         floor = ps_lower_bound(inst)
         for kind in TestKind:
             if kind is TestKind.SWAP and inst.n != 2:
-                continue
-            if inst.n > 6:
                 continue
             p = equal_prob_formula(kind, inst)
             dominance_checked += 1

@@ -8,8 +8,9 @@ the full d^n state of each trial, so they are slow, but they share no
 formula with the code under test. ``per_trial_srs_batch`` keeps one state
 per trial where ``srs_batch`` keeps one per pair path; the two draw the same
 random numbers, so their verdicts agree exactly. The permutation objects,
-the dense symmetric projector, the alignment builders and ``pure_density``
-are test-side helpers that the package itself does not need.
+the symmetric-group table with its signs and stabilizer counts, the dense
+symmetric projector, the alignment builders and ``pure_density`` are
+test-side helpers that the package itself does not need.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations as _lex_permutations
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from qsilab.identity_tests import (
 )
 from qsilab.instances import Alignment, QsiInstance, Verdict, build_instance, verify_promise
 from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
-from qsilab.permgroup import Partition, _check_enum_cap, perm_table, sign_table
+from qsilab.permgroup import Partition
 from qsilab.protocols import rcir_exact
 from qsilab.qmath import MEASURE_EPS, DensityMatrix, JointState, PureState
 
@@ -45,6 +46,66 @@ PROJECTOR_MAX_DIM = 2**12
 #: Largest n at which ``rcir_sample`` simulates the circle circuit; above it,
 #: or past the amplitude budget, it draws from the Gram-matrix formula.
 _RCIR_CIRCUIT_MAX_N = 10
+
+
+GroupName = Literal["sym", "alt"]
+
+
+def _check_enum_cap(n: int, minimum: int) -> None:
+    if n < minimum:
+        raise ValueError(f"n must be at least {minimum}, got {n}")
+    if n > SYM_ENUM_MAX_N:
+        raise CapExceededError(
+            f"group enumeration is capped at n={SYM_ENUM_MAX_N}, got {n}"
+        )
+
+
+@lru_cache(maxsize=None)
+def perm_table(n: int) -> np.ndarray:
+    """All of S_n as an (n!, n) int8 array of one-line rows, lexicographic.
+
+    Row 0 is the identity. Read-only; cached because the group sweeps below
+    share it.
+    """
+    _check_enum_cap(n, 1)
+    table = np.array(list(_lex_permutations(range(1, n + 1))), dtype=np.int8)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def sign_table(n: int) -> np.ndarray:
+    """Signs of perm_table(n) rows (+1/-1), via vectorized inversion parity."""
+    table = perm_table(n)
+    odd = np.zeros(len(table), dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            odd ^= table[:, i] > table[:, j]
+    signs = np.where(odd, -1, 1).astype(np.int8)
+    signs.setflags(write=False)
+    return signs
+
+
+def stabilizer_count(part: Partition, group: GroupName = "sym") -> int:
+    """Exact number of group elements that setwise-stabilize the partition.
+
+    Counts by enumeration over the cached group table, so part.n is capped at
+    the enumeration limit.
+    """
+    if group not in ("sym", "alt"):
+        raise ValueError(f"unknown group {group!r}")
+    n = part.n
+    _check_enum_cap(n, 1 if group == "sym" else 2)
+    table = perm_table(n)
+    ok = np.ones(len(table), dtype=bool)
+    for block in part.blocks:
+        cols = np.fromiter((i - 1 for i in sorted(block)), dtype=np.intp)
+        member = np.zeros(n + 1, dtype=bool)
+        member[list(block)] = True
+        ok &= member[table[:, cols]].all(axis=1)
+    if group == "alt":
+        ok &= sign_table(n) == 1
+    return int(ok.sum())
 
 
 @dataclass(frozen=True)
@@ -255,7 +316,7 @@ def dense_run_circuit(kind: TestKind, inst: QsiInstance) -> DenseCircuitResult:
     n, d = inst.n, inst.dim
     group = control_group(kind, n)
     size = len(group)
-    _circuit_cap(n, d, size)
+    _circuit_cap(n, d, size)  # the joint state holds all |G| permuted copies
 
     content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
     joint = np.zeros((size,) + (d,) * n, dtype=complex)

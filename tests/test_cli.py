@@ -90,10 +90,10 @@ class TestTestCommand:
         assert code == 2
 
     def test_cap_violation_exits_3(self, capsys, tmp_path, monkeypatch):
-        # 9! * 2^9 amplitudes overflow the default budget of 2^24
+        # 54 copies of 4^10 amplitudes overflow the default budget of 2^24
         monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({"n": 9, "dim": 2, "partition": [list(range(1, 10))]}))
+        path.write_text(json.dumps({"n": 10, "dim": 4, "partition": [list(range(1, 11))]}))
         code, _, err = run_cli(capsys, "test", "--kind", "permutation",
                                "--instance", str(path), "--mode", "circuit")
         assert code == 3

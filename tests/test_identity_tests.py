@@ -20,7 +20,9 @@ from oracles import (
     instance_from_alignment,
     set_partitions,
     shift_count_rational,
+    stabilizer_count,
 )
+from qsilab.bounds import ps_lower_bound
 from qsilab.identity_tests import (
     TestKind,
     equal_prob_formula,
@@ -38,7 +40,7 @@ from qsilab.instances import (
     random_unstructured_instance,
 )
 from qsilab.limits import CapExceededError
-from qsilab.permgroup import Partition, stabilizer_count
+from qsilab.permgroup import Partition
 
 ALL_KINDS = [TestKind.SWAP, TestKind.CIRCLE, TestKind.PERMUTATION, TestKind.ALTERNATION]
 FLAVORS = ["plain", "rotated", "unstructured"]
@@ -119,18 +121,18 @@ class TestRunCircuit:
             zero_entry = dict(result.outcome_distribution).get(0, 0.0)
             assert abs(run_circuit(kind, inst).p_equal - zero_entry) <= 1e-12
 
-    @pytest.mark.parametrize("kind,n,dim", [(TestKind.PERMUTATION, 7, 2), (TestKind.ALTERNATION, 6, 3)])
+    @pytest.mark.parametrize("kind,n,dim", [(TestKind.PERMUTATION, 7, 2), (TestKind.ALTERNATION, 6, 3),
+                                            (TestKind.PERMUTATION, 10, 3), (TestKind.ALTERNATION, 10, 3)])
     def test_peak_memory_is_a_few_content_arrays(self, kind, n, dim):
         # the full circuit holds |G| d^n amplitudes; the EQUAL branch needs no such stack
         inst = random_unstructured_instance(n, dim, seed=n + dim)
-        size = math.factorial(n) // (2 if kind is TestKind.ALTERNATION else 1)
         tracemalloc.start()
         try:
             run_circuit(kind, inst)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < size * dim**n * 16 / 4
+        assert peak < 8 * dim**n * 16
 
     def test_post_equal_is_symmetrized(self):
         result = run_circuit(TestKind.SWAP, two_block(2, 1))
@@ -152,40 +154,53 @@ class TestRunCircuit:
         assert 0.0 <= result.p_equal <= 1.0 + 1e-12
 
     def test_circuit_caps(self, monkeypatch):
-        # default budget 2^24: 9! * 2^9 and 20 * 2^20 amplitudes overflow it
+        # default budget 2^24: 54 * 4^10 and 20 * 2^20 amplitudes overflow it
         monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
         with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
-            run_circuit(TestKind.PERMUTATION, yes_instance(9))
+            run_circuit(TestKind.PERMUTATION, yes_instance(10, dim=4))
         with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
             run_circuit(TestKind.CIRCLE, yes_instance(20))
 
     @pytest.mark.parametrize(
-        "kind,n",
-        [(TestKind.PERMUTATION, 7), (TestKind.ALTERNATION, 7),
-         (TestKind.CIRCLE, 11), (TestKind.CIRCLE, 12), (TestKind.CIRCLE, 13)],
+        "kind,n,dim",
+        [pytest.param(kind, n, 2, id=f"{kind}-{n}") for kind, n in (
+            (TestKind.PERMUTATION, 7), (TestKind.ALTERNATION, 7),
+            (TestKind.CIRCLE, 11), (TestKind.CIRCLE, 12), (TestKind.CIRCLE, 13),
+            (TestKind.PERMUTATION, 9), (TestKind.ALTERNATION, 9),
+            (TestKind.PERMUTATION, 10), (TestKind.ALTERNATION, 10))]
+        + [(TestKind.PERMUTATION, 10, 3), (TestKind.ALTERNATION, 10, 3)],
     )
-    def test_budget_alone_caps_the_circuit(self, kind, n, monkeypatch):
+    def test_budget_alone_caps_the_circuit(self, kind, n, dim, monkeypatch):
         monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
         for inst in (
-            random_structured_instance(n, seed=90 + n, rotate=True, dim=2, max_blocks=2),
-            random_unstructured_instance(n, 2, seed=90 + n),
+            random_structured_instance(n, seed=90 + n, rotate=True, dim=dim, max_blocks=2),
+            random_unstructured_instance(n, dim, seed=90 + n),
         ):
-            assert inst.dim == 2
+            assert inst.dim == dim
             circuit = run_circuit(kind, inst).p_equal
             assert abs(circuit - equal_prob_formula(kind, inst)) <= 1e-9
 
     def test_caps_checked_before_group_is_built(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"perm_table({n}) built before the cap check")
+        def refuse(*args):
+            raise AssertionError("d^n content built before the cap check")
 
         monkeypatch.delenv("QSI_MAX_AMPS", raising=False)
-        monkeypatch.setattr("qsilab.identity_tests.perm_table", refuse)
+        monkeypatch.setattr("qsilab.identity_tests.reduce", refuse)
         for kind in (TestKind.PERMUTATION, TestKind.ALTERNATION):
             with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
-                run_circuit(kind, yes_instance(9))
-        monkeypatch.setenv("QSI_MAX_AMPS", "100")  # 3! * 2^3 = 48 fits, 4! * 2^4 does not
+                run_circuit(kind, yes_instance(10, dim=4))
+        monkeypatch.setenv("QSI_MAX_AMPS", "100")  # 5 * 2^3 = 40 fits, 9 * 2^4 = 144 does not
         with pytest.raises(CapExceededError, match="QSI_MAX_AMPS"):
             run_circuit(TestKind.PERMUTATION, yes_instance(4))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_permutation_test_is_the_floor(self, n):
+        # optimality of the permutation test: every test accepts at least perm(G)/n!
+        for dim in (2, 3):
+            inst = random_unstructured_instance(n, dim, seed=40 * n + dim)
+            floor = ps_lower_bound(inst)
+            for kind in ALL_KINDS[1:]:
+                assert run_circuit(kind, inst).p_equal >= floor - 1e-12
 
     def test_amplitude_budget_env(self, monkeypatch):
         monkeypatch.setenv("QSI_MAX_AMPS", "7")  # swap on qubits needs 2 * 2^2 = 8

@@ -11,11 +11,14 @@ from oracles import (
     cycle_power,
     enumerate_alt,
     enumerate_sym,
+    perm_table,
     setwise_stabilizes,
     sign,
+    sign_table,
+    stabilizer_count,
 )
 from qsilab.limits import CapExceededError
-from qsilab.permgroup import Partition, perm_table, sign_table, stabilizer_count
+from qsilab.permgroup import Partition
 
 
 class TestPermutation:
