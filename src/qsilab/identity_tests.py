@@ -131,11 +131,11 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
         equal = _coset_mean(content, 1)
         equal += _coset_mean(content, -1)
     else:
-        # register m receives the state formerly at m + shift (mod n)
+        # in copy s, register m receives the state formerly at m + s (mod n)
         cols = np.arange(n)
         equal = np.zeros_like(content)
-        for shift in range(n):
-            equal += content.transpose((cols + shift) % n)
+        for row in ((cols + cols[:, None]) % n).tolist():
+            equal += content.transpose(row)
         equal /= n
     p_equal = float(np.vdot(equal, equal).real)
     if p_equal < MEASURE_EPS:
