@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .identity_tests import TestKind, permanent, run_circuit
 from .instances import QsiInstance
-from .limits import SYM_ENUM_MAX_N, CapExceededError
+from .limits import RCIR_EXACT_MAX_N, SYM_ENUM_MAX_N, CapExceededError
 from .qmath import PureState, basis_state, mixture, tensor, trace_distance
 
 #: Largest n for the factorial-ratio bounds.
@@ -52,11 +52,16 @@ def two_block_soundness(n: int, l: int) -> RationalBound:
 
 
 def q_value(n: int, r: int, s: int) -> RationalBound:
-    """Binomial ratio C(n/s, r/s)/C(n, r) * s/n for a divisor s of n and r."""
+    """Binomial ratio C(n/s, r/s)/C(n, r) * s/n for a divisor s of n and r.
+
+    Raises CapExceededError when n exceeds RCIR_EXACT_MAX_N.
+    """
     if r < 1 or r > n // 2:
         raise ValueError(f"r must be within 1..n/2, got r={r}, n={n}")
     if s < 1 or n % s != 0 or r % s != 0:
         raise ValueError(f"s={s} must divide both n={n} and r={r}")
+    if n > RCIR_EXACT_MAX_N:
+        raise CapExceededError(f"exact q bound capped at n={RCIR_EXACT_MAX_N}, got n={n}")
     value = Fraction(math.comb(n // s, r // s), math.comb(n, r)) * Fraction(s, n)
     return RationalBound.of(value)
 
@@ -100,9 +105,14 @@ def q_bound_check(n: int, r: int, s: int) -> bool | None:
 
 def eq2_bound(n: int, r: int) -> RationalBound:
     """Soundness bound for the randomized circle protocol: 1/n plus the
-    per-divisor terms q(n, r, s) over all common divisors s >= 2 of n and r."""
+    per-divisor terms q(n, r, s) over all common divisors s >= 2 of n and r.
+
+    Raises CapExceededError when n exceeds RCIR_EXACT_MAX_N.
+    """
     if not 1 <= r <= n // 2:
         raise ValueError(f"r must be within 1..n/2, got r={r}, n={n}")
+    if n > RCIR_EXACT_MAX_N:
+        raise CapExceededError(f"exact eq2 bound capped at n={RCIR_EXACT_MAX_N}, got n={n}")
     total = Fraction(1, n)
     for s in range(2, r + 1):
         if n % s == 0 and r % s == 0:

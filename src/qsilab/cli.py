@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .identity_tests import TestKind, equal_prob_formula, equal_prob_rational, run_circuit
 from .instances import QsiInstance, load_instance, build_instance
-from .limits import CIRCLE_FORMULA_MAX_N, CapExceededError
+from .limits import CIRCLE_FORMULA_MAX_N, SRS_EXACT_MAX_M, CapExceededError
 from .permgroup import Partition
 from .protocols import (
     mc_run,
@@ -242,6 +242,10 @@ def _sweep_rcir_vs_bound(args) -> tuple[list[str], list[dict]]:
 
 
 def _sweep_srs_vs_m(args) -> tuple[list[str], list[dict]]:
+    if args.m_max > SRS_EXACT_MAX_M:
+        raise CapExceededError(
+            f"--m-max {args.m_max}: exact sequential swap capped at m={SRS_EXACT_MAX_M}"
+        )
     two_ident = build_instance(Partition.of([[1, 3], [2]]), dim=2)
     all_orth = build_instance(Partition.of([[1], [2], [3]]), dim=3)
     rows = []

@@ -8,6 +8,10 @@ coset per register, and the alternation test twice that. The budget bounds
 the work, not the memory: near the default budget a `qsilab test --mode both`
 process peaks at 38-66 MB of RSS (permutation and alternation tests at n=10,
 d=3; circle test at n=19, d=2; 2-core Xeon VM).
+
+The exact-rational caps keep every value printable: Python refuses to turn
+an integer of more than 4300 digits into a string, and the CLI prints each
+value as a fraction.
 """
 
 import os
@@ -22,9 +26,15 @@ SYM_ENUM_MAX_N = 10
 #: Gram-matrix closed form for the cyclic-shift test.
 CIRCLE_FORMULA_MAX_N = 24
 
-#: Exact randomized-circle soundness: an input bound on the Burnside sum,
-#: whose binomials grow with n (about 10 ms at this n, 0.5 s at 10**5).
+#: Exact randomized-circle soundness and its q and eq2 bounds: an input bound
+#: on their binomials, which grow with n (the Burnside sum takes about 10 ms
+#: at this n, 0.5 s at 10**5; eq2_bound(n, n/2) has a 3008-digit denominator).
 RCIR_EXACT_MAX_N = 10_000
+
+#: Exact sequential random swap: an input bound on the rounds m. The value's
+#: denominator 3 * 4^(m-1) has 4215 digits at this m; past m = 7143 it has
+#: more than 4300 and no longer prints.
+SRS_EXACT_MAX_M = 7_000
 
 
 class CapExceededError(RuntimeError):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .identity_tests import TestKind, _check_kind_n
 from .instances import QsiInstance, Verdict, verify_promise
-from .limits import RCIR_EXACT_MAX_N, CapExceededError
+from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, CapExceededError
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -158,26 +158,24 @@ def _exact_norm2(state: dict[int, int]) -> int:
 def srs_exact(inst: QsiInstance, m: int) -> Fraction:
     """Exact YES probability of the m-round sequential swap protocol.
 
-    The protocol answers YES when all m swap tests pass, so the value is the
-    mean over the three equally likely first pairs of the product of the
-    conditional pass probabilities along the all-EQUAL branch. Passing the
-    test on pair (i, j) projects onto states symmetric under i <-> j, so the
-    two registers the uniform policy may keep are interchangeable: keeping
-    i and keeping j give post-states that are images of each other under
-    i <-> j, with the same pass probabilities from then on. The uniform and
-    the keep-the-second-register policies therefore give the same value, the
-    product along the chain of ``srs_canonical_trace``. The promise partition
-    fixes the Gram structure, so the canonical basis embedding is used
-    regardless of any rotation on the stored states.
+    With b blocks in the promise partition the value is 1 when b = 1, and
+    1/3 or 1/6 plus 1/(3 * 4^(m-1)) when b = 2 or 3: the weight of the
+    state's symmetric part, which passes every swap test, plus that of its
+    standard S_3 parts, 1/3 after the first round on average over the first
+    pair. Each later round keeps a quarter of the latter, since it tests a new
+    pair, whose symmetric line there is at 60 degrees to the last pair's.
 
-    Raises ValueError, checked in this order, when m < 1, when the instance
-    does not have exactly 3 states, when it has no promise partition, and
-    when its states break the equal-or-orthogonal promise. A partition
-    implies the promise, which ``QsiInstance`` enforces, so an instance
-    without one reports the missing partition.
+    Raises ValueError when m < 1, CapExceededError when m > SRS_EXACT_MAX_M,
+    then ValueError when the instance does not have exactly 3 states, has no
+    promise partition, or breaks the equal-or-orthogonal promise.
     """
-    traces = [srs_canonical_trace(inst, m, pair) for pair in _PAIRS]
-    return sum(math.prod(rnd.pass_prob for rnd in trace) for trace in traces) / 3
+    if m < 1:
+        raise ValueError("round count must be at least 1")
+    if m > SRS_EXACT_MAX_M:
+        raise CapExceededError(f"exact sequential swap capped at m={SRS_EXACT_MAX_M}, got m={m}")
+    tail = Fraction(1, 3 * 4 ** (m - 1))
+    blocks = max(_block_labels_three(inst)) + 1
+    return {1: Fraction(1), 2: Fraction(1, 3) + tail, 3: Fraction(1, 6) + tail}[blocks]
 
 
 class SrsRound(NamedTuple):

@@ -250,8 +250,12 @@ def criterion_7() -> CriterionResult:
         q_prev = cf[m - 1].q if m > 1 else Fraction(1)
         if exact != Fraction(2, 3) * q_m + Fraction(1, 3) * q_prev:
             problems.append(f"m={m}: exact {exact} != (2/3)q_m + (1/3)q_(m-1)")
-        if exact != Fraction(1, 3) + Fraction(1, 3) / 4 ** (m - 1):
-            problems.append(f"m={m}: exact {exact} != 1/3 + (1/3)/4^(m-1)")
+        for name, inst in (("two-identical", two_ident), ("all-orthogonal", all_orth)):
+            chains = [srs_canonical_trace(inst, m, pair) for pair in ((1, 2), (1, 3), (2, 3))]
+            mean = sum(math.prod(rnd.pass_prob for rnd in chain) for chain in chains) / 3
+            value = srs_exact(inst, m)
+            if value != mean:
+                problems.append(f"m={m}: {name} exact {value} != chain mean {mean}")
         if exact > Fraction(1, 3) + Fraction(1, 4 ** (m - 1)):
             problems.append(f"m={m}: exact {exact} exceeds 1/3 + 1/4^(m-1)")
         if srs_exact(build_instance(Partition.of([[1, 2, 3]]), dim=2), m) != 1:

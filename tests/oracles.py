@@ -34,7 +34,7 @@ from qsilab.identity_tests import (
 from qsilab.instances import Alignment, QsiInstance, Verdict, build_instance, verify_promise
 from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
 from qsilab.permgroup import Partition
-from qsilab.protocols import rcir_exact
+from qsilab.protocols import rcir_exact, srs_canonical_trace
 from qsilab.qmath import MEASURE_EPS, DensityMatrix, JointState, PureState
 
 _FORMULA_CHUNK = 200_000
@@ -68,7 +68,13 @@ def perm_table(n: int) -> np.ndarray:
     share it.
     """
     _check_enum_cap(n, 1)
-    table = np.array(list(_lex_permutations(range(1, n + 1))), dtype=np.int8)
+    table = np.ones((1, 1), dtype=np.int8)
+    for k in range(2, n + 1):
+        # S_k rows with first symbol v: v, then an S_(k-1) row with v..k-1 shifted up
+        table = np.concatenate(
+            [np.column_stack([np.full(len(table), v, np.int8), table + (table >= v)])
+             for v in range(1, k + 1)]
+        )
     table.setflags(write=False)
     return table
 
@@ -469,6 +475,17 @@ def srs_sample(inst: QsiInstance, m: int, rng: np.random.Generator) -> ProtocolO
             kept = pair[int(rng.integers(2))]
             pair = (min(leftover, kept), max(leftover, kept))
     return ProtocolOutcome("YES", m, tuple(transcript))
+
+
+def chain_srs_exact(inst: QsiInstance, m: int) -> Fraction:
+    """Exact YES probability of the m-round sequential swap protocol, by rounds.
+
+    The mean over the three first pairs of the product of the conditional
+    pass probabilities along each ``srs_canonical_trace`` chain, with the
+    integer amplitudes of every round built explicitly.
+    """
+    traces = [srs_canonical_trace(inst, m, pair) for pair in ((1, 2), (1, 3), (2, 3))]
+    return sum(math.prod(rnd.pass_prob for rnd in trace) for trace in traces) / 3
 
 
 def per_trial_srs_batch(

@@ -27,7 +27,7 @@ from qsilab.instances import (
     random_structured_instance,
     random_unstructured_instance,
 )
-from qsilab.limits import CapExceededError
+from qsilab.limits import RCIR_EXACT_MAX_N, CapExceededError
 from qsilab.permgroup import Partition
 from qsilab.qmath import tensor
 
@@ -81,6 +81,11 @@ class TestQValue:
         with pytest.raises(ValueError):
             q_value(12, 7, 1)
 
+    def test_n_cap(self):
+        assert q_value(RCIR_EXACT_MAX_N, 1, 1).value == Fraction(1, RCIR_EXACT_MAX_N)
+        with pytest.raises(CapExceededError, match=f"n={RCIR_EXACT_MAX_N}"):
+            q_value(RCIR_EXACT_MAX_N + 1, 1, 1)
+
 
 class TestQBoundCheck:
     def test_case_labels(self):
@@ -129,6 +134,12 @@ class TestEq2Bound:
         )
         assert eq2_bound(12, 6).value == expected
         assert eq2_bound(12, 6).value == Fraction(71, 792)
+
+    def test_n_cap(self):
+        n = RCIR_EXACT_MAX_N
+        assert len(str(eq2_bound(n, n // 2).value.denominator)) <= 4300
+        with pytest.raises(CapExceededError, match=f"n={n}"):
+            eq2_bound(n + 1, 1)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

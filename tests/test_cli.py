@@ -10,6 +10,7 @@ import pytest
 
 from qsilab import selftest
 from qsilab.cli import _build_parser, main
+from qsilab.limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +177,20 @@ class TestProtocolCommand:
         assert code == 2
         assert "partition" in err
 
+    def test_srs_exact_at_round_cap_prints(self, capsys, orth_triple):
+        code, out, _ = run_cli(capsys, "protocol", "srs", "--instance", orth_triple,
+                               "--m", str(SRS_EXACT_MAX_M), "--exact", "--seed", "1")
+        assert code == 0
+        (row,) = parse_csv(out)
+        tail = Fraction(1, 3 * 4 ** (SRS_EXACT_MAX_M - 1))
+        assert row["value_rational"] == str(Fraction(1, 6) + tail)
+
+    def test_srs_exact_above_round_cap_exits_3(self, capsys, orth_triple):
+        code, _, err = run_cli(capsys, "protocol", "srs", "--instance", orth_triple,
+                               "--m", str(SRS_EXACT_MAX_M + 1), "--exact", "--seed", "1")
+        assert code == 3
+        assert f"capped at m={SRS_EXACT_MAX_M}" in err
+
     def test_rcir_exact_above_cap_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "protocol", "rcir", "--exact", "--n", "10001", "--r", "1")
         assert code == 3
@@ -289,6 +304,26 @@ class TestSweepCommand:
             assert row["within_bound"] == "true"
             assert float(row["two_identical_float"]) <= float(row["bound_float"])
 
+    def test_srs_sweep_at_round_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "srs-vs-m", "--m-max", str(SRS_EXACT_MAX_M),
+                               "--seed", "1")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == SRS_EXACT_MAX_M
+        tail = Fraction(1, 3 * 4 ** (SRS_EXACT_MAX_M - 1))
+        assert rows[-1]["all_orthogonal_rational"] == str(Fraction(1, 6) + tail)
+        assert rows[-1]["within_bound"] == "true"
+
+    def test_srs_sweep_above_round_cap_exits_3_before_any_row(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was computed before the cap check")
+
+        monkeypatch.setattr("qsilab.cli.srs_exact", refuse)
+        code, _, err = run_cli(capsys, "sweep", "srs-vs-m",
+                               "--m-max", str(SRS_EXACT_MAX_M + 1), "--seed", "1")
+        assert code == 3
+        assert f"--m-max {SRS_EXACT_MAX_M + 1}" in err
+
     def test_qbounds_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "q.csv"
         run_cli(capsys, "sweep", "qbounds", "--n-min", "4", "--n-max", "16",
@@ -320,6 +355,33 @@ class TestBoundsCommand:
         (row,) = parse_csv(out)
         assert row["value_rational"] == "1/616"
         assert row["case"] == "s=r/2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eq2", "--r", "5000"],
+            ["q", "--r", "5000", "--s", "5000"],
+        ],
+    )
+    def test_exact_bounds_at_n_cap_print(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "bounds", *argv, "--n", str(RCIR_EXACT_MAX_N),
+                               "--seed", "1")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert Fraction(row["value_rational"]) > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eq2", "--r", "5000"],
+            ["q", "--r", "73", "--s", "73"],
+        ],
+    )
+    def test_exact_bounds_above_n_cap_exit_3(self, capsys, argv):
+        code, _, err = run_cli(capsys, "bounds", *argv, "--n", str(RCIR_EXACT_MAX_N + 1),
+                               "--seed", "1")
+        assert code == 3
+        assert f"capped at n={RCIR_EXACT_MAX_N}" in err
 
     def test_gap(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "gap", "--seed", "1")

@@ -9,6 +9,7 @@ import pytest
 from conftest import all_orthogonal, two_block, yes_instance
 from oracles import (
     arrangement_rcir,
+    chain_srs_exact,
     per_trial_srs_batch,
     permuted_instance,
     rcir_sample,
@@ -17,7 +18,12 @@ from oracles import (
 )
 from qsilab.identity_tests import TestKind as Kind, run_circuit
 from qsilab.instances import QsiInstance, build_instance, haar_unitary, random_unstructured_instance
-from qsilab.limits import CIRCLE_FORMULA_MAX_N, RCIR_EXACT_MAX_N, CapExceededError
+from qsilab.limits import (
+    CIRCLE_FORMULA_MAX_N,
+    RCIR_EXACT_MAX_N,
+    SRS_EXACT_MAX_M,
+    CapExceededError,
+)
 from qsilab.permgroup import Partition
 from qsilab.qmath import PureState
 from qsilab.bounds import eq2_bound
@@ -149,13 +155,38 @@ class TestSrsExact:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_two_identical_matches_weighted_cumulative(self, m):
+        # first pair the identical one (1/3): q_(m-1) after it; otherwise q_m
         q_m = srs_closed_form(m).q
         q_prev = srs_closed_form(m - 1).q if m > 1 else Fraction(1)
-        assert srs_exact(TWO_IDENT, m) == Fraction(2, 3) * q_m + Fraction(1, 3) * q_prev
+        weighted = Fraction(2, 3) * q_m + Fraction(1, 3) * q_prev
+        assert chain_srs_exact(TWO_IDENT, m) == weighted
+        assert srs_exact(TWO_IDENT, m) == weighted
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_two_identical_resolved_closed_form(self, m):
-        assert srs_exact(TWO_IDENT, m) == Fraction(1, 3) + Fraction(1, 3) / 4 ** (m - 1)
+        resolved = Fraction(1, 3) + Fraction(1, 3) / 4 ** (m - 1)
+        assert chain_srs_exact(TWO_IDENT, m) == resolved
+        assert srs_exact(TWO_IDENT, m) == chain_srs_exact(TWO_IDENT, m)
+
+    @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
+    def test_matches_chain_oracle(self, blocks):
+        # the branching oracle, both policies, is test_matches_uniform_branching_oracle
+        inst = build_instance(Partition.of(blocks), dim=3)
+        for m in range(1, 41):
+            assert srs_exact(inst, m) == chain_srs_exact(inst, m)
+
+    def test_round_cap(self):
+        value = srs_exact(ALL_ORTH, SRS_EXACT_MAX_M)
+        assert value == Fraction(1, 6) + Fraction(1, 3 * 4 ** (SRS_EXACT_MAX_M - 1))
+        assert len(str(value.denominator)) <= 4300
+        with pytest.raises(CapExceededError, match=f"m={SRS_EXACT_MAX_M}"):
+            srs_exact(ALL_ORTH, SRS_EXACT_MAX_M + 1)
+
+    def test_checks_rounds_before_the_instance(self):
+        with pytest.raises(ValueError, match="round count"):
+            srs_exact(yes_instance(2), 0)
+        with pytest.raises(CapExceededError):
+            srs_exact(yes_instance(2), SRS_EXACT_MAX_M + 1)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_upper_bound(self, m):
