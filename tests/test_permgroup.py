@@ -206,14 +206,8 @@ class TestStabilizerCount:
 
 
 def test_perm_table_matches_itertools():
-    for n in (1, 2, 3, 5):
-        rows = [tuple(int(v) for v in r) for r in perm_table(n)]
-        assert rows == list(lex_permutations(range(1, n + 1)))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_perm_table_is_read_only_int8_in_lexicographic_order(n):
-    table = perm_table(n)
-    assert table.dtype == np.int8
-    assert not table.flags.writeable
-    np.testing.assert_array_equal(table, np.array(list(lex_permutations(range(1, n + 1)))))
+    for n in range(1, 9):
+        table = perm_table(n)
+        assert table.dtype == np.int8
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(table, np.array(list(lex_permutations(range(1, n + 1)))))
