@@ -47,6 +47,7 @@ from .protocols import (
     McEstimate,
     SrsClosedForm,
     mc_run,
+    promise_labels,
     rcir_batch,
     rcir_exact,
     rcir_exact_for_instance,

@@ -39,15 +39,17 @@ from .bounds import (
 )
 from .identity_tests import TestKind, equal_prob_formula, equal_prob_rational, run_circuit
 from .instances import QsiInstance, load_instance, build_instance
-from .limits import CIRCLE_FORMULA_MAX_N, SRS_EXACT_MAX_M, CapExceededError
+from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, CapExceededError
 from .permgroup import Partition
 from .protocols import (
     mc_run,
+    promise_labels,
     rcir_batch,
     rcir_exact,
     rcir_exact_for_instance,
     srs_batch,
     srs_exact,
+    srs_exact_values,
 )
 from .selftest import run_all
 
@@ -134,10 +136,11 @@ def _cmd_test(args, seed: int) -> tuple[list[str], list[dict], dict]:
     return columns, [row], dict(row)
 
 
-def _protocol_sampler(args, inst: QsiInstance) -> Callable:
+def _protocol_sampler(args, inst: QsiInstance | None) -> Callable:
     if args.protocol == "srs":
         return lambda rng, k: srs_batch(inst, args.m, rng, k)
-    return lambda rng, k: rcir_batch(inst, rng, k)
+    labels = promise_labels(inst) if inst is not None else (0,) * args.r + (1,) * (args.n - args.r)
+    return lambda rng, k: rcir_batch(labels, rng, k)
 
 
 def _check_protocol_args(args) -> None:
@@ -156,23 +159,13 @@ def _check_protocol_args(args) -> None:
         raise InputError("protocol needs --instance (or --n/--r for rcir)")
     if not 1 <= args.r <= args.n - 1:
         raise InputError(f"need 1 <= --r <= --n - 1, got --n {args.n} --r {args.r}")
-    if not args.exact and args.n > CIRCLE_FORMULA_MAX_N:
-        raise CapExceededError(
-            f"--n {args.n}: Monte Carlo randomized circle capped at n={CIRCLE_FORMULA_MAX_N}"
-        )
+    if args.n > RCIR_EXACT_MAX_N:
+        raise CapExceededError(f"--n {args.n}: randomized circle capped at n={RCIR_EXACT_MAX_N}")
 
 
 def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
     _check_protocol_args(args)
-    inst: QsiInstance | None = None
-    if args.instance is not None:
-        inst = _load(args.instance)
-    elif not args.exact:
-        inst = build_instance(
-            Partition.of([list(range(1, args.r + 1)), list(range(args.r + 1, args.n + 1))]),
-            dim=2,
-        )
-
+    inst = _load(args.instance) if args.instance is not None else None
     row: dict[str, Any] = {
         "protocol": args.protocol,
         "n": inst.n if inst is not None else args.n,
@@ -246,12 +239,11 @@ def _sweep_srs_vs_m(args) -> tuple[list[str], list[dict]]:
         raise CapExceededError(
             f"--m-max {args.m_max}: exact sequential swap capped at m={SRS_EXACT_MAX_M}"
         )
-    two_ident = build_instance(Partition.of([[1, 3], [2]]), dim=2)
-    all_orth = build_instance(Partition.of([[1], [2], [3]]), dim=3)
+    rounds = range(1, args.m_max + 1)
+    two_ident = srs_exact_values(build_instance(Partition.of([[1, 3], [2]]), dim=2), rounds)
+    all_orth = srs_exact_values(build_instance(Partition.of([[1], [2], [3]]), dim=3), rounds)
     rows = []
-    for m in range(1, args.m_max + 1):
-        ti = srs_exact(two_ident, m)
-        ao = srs_exact(all_orth, m)
+    for m, ti, ao in zip(rounds, two_ident, all_orth):
         bound = Fraction(1, 3) + Fraction(1, 4 ** (m - 1))
         rows.append({
             "m": m,
@@ -367,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_proto = sub.add_parser("protocol", help="run a protocol exactly or by sampling")
     p_proto.add_argument("protocol", choices=["srs", "rcir"])
     p_proto.add_argument("--instance", help="instance JSON file")
-    p_proto.add_argument("--n", type=int, help="cycle length (rcir without a file)")
+    p_proto.add_argument("--n", type=int,
+                         help=f"cycle length, at most {RCIR_EXACT_MAX_N} (rcir without a file)")
     p_proto.add_argument("--r", type=int, help="distinguished block size (rcir)")
     p_proto.add_argument("--m", type=int, default=2, help="rounds (srs)")
     p_proto.add_argument("--policy", choices=["uniform", "canonical"],

@@ -23,12 +23,12 @@ DEFAULT_MAX_AMPS = 2**24
 #: permanent formula and exact rationals) and for ps_lower_bound's permanent.
 SYM_ENUM_MAX_N = 10
 
-#: Gram-matrix closed form for the cyclic-shift test.
+#: The cyclic-shift test alone: its circuit, Gram formula and exact rationals.
 CIRCLE_FORMULA_MAX_N = 24
 
-#: Exact randomized-circle soundness and its q and eq2 bounds: an input bound
-#: on their binomials, which grow with n (the Burnside sum takes about 10 ms
-#: at this n, 0.5 s at 10**5; eq2_bound(n, n/2) has a 3008-digit denominator).
+#: Randomized circle, exact and Monte Carlo, and its q and eq2 bounds: an input
+#: bound on their binomials, which grow with n (the Burnside sum takes about 10
+#: ms at this n, 0.5 s at 10**5; eq2_bound(n, n/2) has a 3008-digit denominator).
 RCIR_EXACT_MAX_N = 10_000
 
 #: Exact sequential random swap: an input bound on the rounds m. The value's

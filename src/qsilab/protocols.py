@@ -15,6 +15,8 @@ base seed and the block index, so runs are reproducible from the seed.
 Within a block, sequential random swap evolves one state per distinct path
 of tested pairs rather than one per trial: trials that tested the same
 pairs share a row of a state table, and each round updates the rows once.
+Randomized circle samples from the states' integer block labels alone: a
+relabeled run passes with the share of cyclic shifts that fix its label row.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .identity_tests import TestKind, _check_kind_n
-from .instances import QsiInstance, Verdict, verify_promise
+from .instances import PROMISE_ATOL, QsiInstance, Verdict, verify_promise
 from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, CapExceededError
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -155,6 +156,17 @@ def _exact_norm2(state: dict[int, int]) -> int:
     return sum(amp * amp for amp in state.values())
 
 
+def srs_exact_values(inst: QsiInstance, rounds: range) -> Iterator[Fraction]:
+    """``srs_exact(inst, m)`` for each m in rounds, checking m and the instance once."""
+    if rounds.start < 1:
+        raise ValueError("round count must be at least 1")
+    if (last := rounds.stop - 1) > SRS_EXACT_MAX_M:
+        raise CapExceededError(f"exact sequential swap capped at m={SRS_EXACT_MAX_M}, got m={last}")
+    blocks = max(_block_labels_three(inst)) + 1
+    base = {1: Fraction(1), 2: Fraction(1, 3), 3: Fraction(1, 6)}[blocks]
+    return (base if blocks == 1 else base + Fraction(1, 3 * 4 ** (m - 1)) for m in rounds)
+
+
 def srs_exact(inst: QsiInstance, m: int) -> Fraction:
     """Exact YES probability of the m-round sequential swap protocol.
 
@@ -169,13 +181,7 @@ def srs_exact(inst: QsiInstance, m: int) -> Fraction:
     then ValueError when the instance does not have exactly 3 states, has no
     promise partition, or breaks the equal-or-orthogonal promise.
     """
-    if m < 1:
-        raise ValueError("round count must be at least 1")
-    if m > SRS_EXACT_MAX_M:
-        raise CapExceededError(f"exact sequential swap capped at m={SRS_EXACT_MAX_M}, got m={m}")
-    tail = Fraction(1, 3 * 4 ** (m - 1))
-    blocks = max(_block_labels_three(inst)) + 1
-    return {1: Fraction(1), 2: Fraction(1, 3) + tail, 3: Fraction(1, 6) + tail}[blocks]
+    return next(srs_exact_values(inst, range(m, m + 1)))
 
 
 class SrsRound(NamedTuple):
@@ -215,28 +221,41 @@ def srs_canonical_trace(
     return rounds
 
 
-def _circle_equal_probs(gram: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """EQUAL probability of the cyclic-shift test after each relabeling.
-
-    Row tau of taus puts the state formerly at tau[i] in position i, so the
-    relabeled Gram matrix is G[tau_i, tau_j] and the probability is the mean
-    over shifts s of Re prod_i G[tau_i, tau_((i+s) mod n)].
-    """
-    n = taus.shape[1]
-    return sum(gram[taus, np.roll(taus, -s, axis=1)].prod(axis=1).real for s in range(n)) / n
-
-
-def rcir_batch(inst: QsiInstance, rng: np.random.Generator, k: int) -> np.ndarray:
-    """k runs of the randomized circle protocol; True is YES (EQUAL).
-
-    Each run applies a uniformly random relabeling and accepts with the
-    cyclic-shift test's EQUAL probability on the relabeled Gram matrix.
-    """
+def promise_labels(inst: QsiInstance) -> tuple[int, ...]:
+    """Block label of each state after one promise check: the partition's, or
+    else the classes of unit-modulus Gram entries, numbered by first member."""
     _require_promise(inst)
-    n = inst.n
-    _check_kind_n(TestKind.CIRCLE, n)
-    taus = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
-    return rng.random(k) < _circle_equal_probs(inst.gram(), taus)
+    if inst.partition is not None:
+        return inst.partition.labels()
+    first = (np.abs(np.abs(inst.gram()) - 1) <= PROMISE_ATOL).argmax(axis=0)
+    return tuple(np.unique(first, return_inverse=True)[1].tolist())
+
+
+def rcir_batch(labels: Sequence[int], rng: np.random.Generator, k: int) -> np.ndarray:
+    """k runs of the randomized circle protocol on states with these block
+    labels (``promise_labels``); True is YES (EQUAL).
+
+    Each run permutes the label row uniformly. Under the promise the phases
+    cancel around every cycle, so the shift test passes with the number of
+    cyclic shifts that fix the row, over n. They form a cyclic group whose
+    order divides g, the gcd of the block sizes, so that number is the
+    largest t | g for which the row repeats with period n/t (1 when g = 1).
+    The k rows take k*n bytes while there are at most 256 blocks.
+    Raises ValueError when n < 2, CapExceededError when n > RCIR_EXACT_MAX_N."""
+    row = np.asarray(labels)
+    n = len(row)
+    if n < 2:
+        raise ValueError(f"randomized circle needs at least 2 states, got {n}")
+    if n > RCIR_EXACT_MAX_N:
+        raise CapExceededError(f"randomized circle capped at n={RCIR_EXACT_MAX_N}, got {n}")
+    g = math.gcd(*np.bincount(row).tolist())
+    periods = [(t, n // t) for t in range(2, g + 1) if g % t == 0]
+    rows = np.tile(row.astype(np.min_scalar_type(row.max())), (k, 1))
+    rng.permuted(rows, axis=1, out=rows)
+    fixed = np.ones(k)
+    for t, s in periods:
+        fixed[(rows[:, s:] == rows[:, :-s]).all(axis=1)] = t
+    return rng.random(k) < fixed / n
 
 
 def _totient(t: int) -> int:

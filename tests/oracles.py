@@ -7,7 +7,9 @@ sum over every group element, build every measurement outcome or simulate
 the full d^n state of each trial, so they are slow, but they share no
 formula with the code under test. ``per_trial_srs_batch`` keeps one state
 per trial where ``srs_batch`` keeps one per pair path; the two draw the same
-random numbers, so their verdicts agree exactly. The permutation objects,
+random numbers, so their verdicts agree exactly. Likewise
+``gram_rcir_batch`` multiplies Gram entries around every cyclic shift where
+``rcir_batch`` compares integer label rows, on the same draws. The permutation objects,
 the symmetric-group table with its signs and stabilizer counts, the dense
 symmetric projector, the alignment builders and ``pure_density`` are
 test-side helpers that the package itself does not need.
@@ -590,3 +592,28 @@ def rcir_sample(inst: QsiInstance, rng: np.random.Generator) -> str:
     else:
         p_equal = equal_prob_formula(TestKind.CIRCLE, permuted)
     return "YES" if rng.random() < p_equal else "NO"
+
+
+def circle_equal_probs(gram: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """EQUAL probability of the cyclic-shift test after each relabeling.
+
+    Row tau of taus puts the state formerly at tau[i] in position i, so the
+    relabeled Gram matrix is G[tau_i, tau_j] and the probability is the mean
+    over shifts s of Re prod_i G[tau_i, tau_((i+s) mod n)].
+    """
+    n = taus.shape[1]
+    return sum(gram[taus, np.roll(taus, -s, axis=1)].prod(axis=1).real for s in range(n)) / n
+
+
+def gram_rcir_batch(inst: QsiInstance, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k runs of the randomized circle protocol from Gram products.
+
+    Draws k index permutations, then k uniforms, and accepts each run with
+    ``circle_equal_probs`` of its relabeling: the same draws as ``rcir_batch``
+    on the instance's labels. Capped at the circle test's n.
+    """
+    if verify_promise(inst) is Verdict.VIOLATED:
+        raise ValueError("instance violates the equal-or-orthogonal promise")
+    _check_kind_n(TestKind.CIRCLE, inst.n)
+    taus = rng.permuted(np.tile(np.arange(inst.n), (k, 1)), axis=1)
+    return rng.random(k) < circle_equal_probs(inst.gram(), taus)

@@ -162,6 +162,42 @@ class TestProtocolCommand:
         assert abs(p_hat - 1 / 3) <= 5 * (1 / 3 * 2 / 3 / 4000) ** 0.5
         assert float(row["ci_lo"]) <= p_hat <= float(row["ci_hi"])
 
+    def test_rcir_monte_carlo_at_n_1000_near_exact(self, capsys):
+        argv = ("protocol", "rcir", "--n", "1000", "--r", "500", "--seed", "2")
+        code, out, _ = run_cli(capsys, *argv, "--exact")
+        assert code == 0
+        exact = float(Fraction(parse_csv(out)[0]["value_rational"]))
+        trials = 100_000
+        code, out, _ = run_cli(capsys, *argv, "--trials", str(trials))
+        assert code == 0
+        p_hat = float(parse_csv(out)[0]["p_hat"])
+        assert abs(p_hat - exact) <= 5 * (exact * (1 - exact) / trials) ** 0.5
+
+    def test_rcir_monte_carlo_at_cap_stays_small(self):
+        # a wrapper process reads its own child's peak RSS, which excludes this process's
+        probe = (
+            "import resource, subprocess, sys\n"
+            "proc = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, sys.executable, "-m", "qsilab.cli", "protocol", "rcir",
+             "--n", str(RCIR_EXACT_MAX_N), "--r", str(RCIR_EXACT_MAX_N // 2),
+             "--trials", "4096", "--seed", "1"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        assert peak_kb < 200 * 1024
+
+    def test_rcir_monte_carlo_above_cap_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "protocol", "rcir", "--n", str(RCIR_EXACT_MAX_N + 1),
+                               "--r", "1", "--trials", "10", "--seed", "1")
+        assert code == 3
+        assert f"capped at n={RCIR_EXACT_MAX_N}" in err
+
     def test_mc_is_seed_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "protocol", "rcir", "--n", "4", "--r", "2",
                              "--trials", "500", "--seed", "3")
@@ -319,6 +355,7 @@ class TestSweepCommand:
             raise AssertionError("a row was computed before the cap check")
 
         monkeypatch.setattr("qsilab.cli.srs_exact", refuse)
+        monkeypatch.setattr("qsilab.cli.srs_exact_values", refuse)
         code, _, err = run_cli(capsys, "sweep", "srs-vs-m",
                                "--m-max", str(SRS_EXACT_MAX_M + 1), "--seed", "1")
         assert code == 3

@@ -83,6 +83,25 @@ class TestVerifyPromise:
         plus = PureState.from_unnormalized([1, 1])
         assert verify_promise(QsiInstance((basis_state(2, 0), plus))) is Verdict.VIOLATED
 
+    def test_single_state_is_yes(self):
+        assert verify_promise(QsiInstance((basis_state(2, 1),))) is Verdict.YES_INSTANCE
+
+    def test_violation_after_equal_and_orthogonal_pairs(self):
+        plus = PureState.from_unnormalized([1, 1, 0])
+        states = (basis_state(3, 0), basis_state(3, 2), PureState(1j * basis_state(3, 0).amps), plus)
+        assert verify_promise(QsiInstance(states)) is Verdict.VIOLATED
+
+    def test_tolerance(self):
+        near = PureState.from_unnormalized([1e-10, 1])
+        off = PureState.from_unnormalized([1e-8, 1])
+        assert verify_promise(QsiInstance((basis_state(2, 0), near))) is Verdict.NO_INSTANCE
+        assert verify_promise(QsiInstance((basis_state(2, 0), off))) is Verdict.VIOLATED
+
+    def test_self_overlaps_not_checked(self):
+        # a norm within PureState's tolerance may put <i|i> past the promise tolerance
+        long = PureState(np.array([1 + 8e-10, 0], dtype=complex))
+        assert verify_promise(QsiInstance((long, basis_state(2, 1)))) is Verdict.NO_INSTANCE
+
 
 class TestAlignment:
     def test_pattern_repeats_around_cycle(self):

@@ -10,6 +10,8 @@ from conftest import all_orthogonal, two_block, yes_instance
 from oracles import (
     arrangement_rcir,
     chain_srs_exact,
+    circle_equal_probs,
+    gram_rcir_batch,
     per_trial_srs_batch,
     permuted_instance,
     rcir_sample,
@@ -17,9 +19,14 @@ from oracles import (
     worst_merge_rcir,
 )
 from qsilab.identity_tests import TestKind as Kind, run_circuit
-from qsilab.instances import QsiInstance, build_instance, haar_unitary, random_unstructured_instance
+from qsilab.instances import (
+    QsiInstance,
+    build_instance,
+    haar_unitary,
+    random_structured_instance,
+    random_unstructured_instance,
+)
 from qsilab.limits import (
-    CIRCLE_FORMULA_MAX_N,
     RCIR_EXACT_MAX_N,
     SRS_EXACT_MAX_M,
     CapExceededError,
@@ -30,8 +37,8 @@ from qsilab.bounds import eq2_bound
 from qsilab.cli import main as cli_main
 from qsilab.protocols import (
     MC_BLOCK,
-    _circle_equal_probs,
     mc_run,
+    promise_labels,
     rcir_batch,
     rcir_exact,
     rcir_exact_for_instance,
@@ -333,22 +340,24 @@ class TestSrsSample:
 class TestRcirSample:
     def test_yes_always(self):
         rng = np.random.default_rng(3)
-        assert rcir_batch(yes_instance(4), rng, 20).all()
+        assert rcir_batch(promise_labels(yes_instance(4)), rng, 20).all()
 
     def test_three_states_rejects_two_thirds(self):
         trials = 20_000
-        est = mc_run(lambda rng, k: ~rcir_batch(TWO_IDENT, rng, k), trials, base_seed=77)
+        labels = promise_labels(TWO_IDENT)
+        est = mc_run(lambda rng, k: ~rcir_batch(labels, rng, k), trials, base_seed=77)
         assert _sigma_bound(est.p_hat, Fraction(2, 3), trials)
 
     def test_alternating_four_matches_exact(self):
         inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
         trials = 20_000
-        est = mc_run(lambda rng, k: rcir_batch(inst, rng, k), trials, base_seed=99)
+        labels = promise_labels(inst)
+        est = mc_run(lambda rng, k: rcir_batch(labels, rng, k), trials, base_seed=99)
         assert _sigma_bound(est.p_hat, rcir_exact(4, 2), trials)
 
     def test_promise_checked(self):
         with pytest.raises(ValueError, match="promise"):
-            rcir_batch(random_unstructured_instance(3, 2, seed=6), np.random.default_rng(0), 1)
+            promise_labels(random_unstructured_instance(3, 2, seed=6))
 
 
 def _two_sample_bound(a, b, k: float = 5.0) -> bool:
@@ -440,7 +449,7 @@ class TestRcirBatch:
         ]
         for inst in instances:
             taus = rng.permuted(np.tile(np.arange(n), (6, 1)), axis=1)
-            probs = _circle_equal_probs(inst.gram(), taus)
+            probs = circle_equal_probs(inst.gram(), taus)
             for tau, p in zip(taus, probs):
                 want = run_circuit(Kind.CIRCLE, permuted_instance(inst, tau)).p_equal
                 assert abs(p - want) <= 1e-12
@@ -449,7 +458,8 @@ class TestRcirBatch:
     def test_matches_per_trial_oracle(self, n, r):
         inst = two_block(n, r)
         trials = 3000
-        batched = mc_run(lambda rng, k: rcir_batch(inst, rng, k), trials, base_seed=71)
+        labels = promise_labels(inst)
+        batched = mc_run(lambda rng, k: rcir_batch(labels, rng, k), trials, base_seed=71)
         oracle = mc_run(
             _per_trial(lambda rng: rcir_sample(inst, rng) == "YES"), trials, base_seed=72
         )
@@ -458,11 +468,71 @@ class TestRcirBatch:
     def test_input_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="promise"):
-            rcir_batch(random_unstructured_instance(3, 2, seed=6), rng, 4)
+            rcir_batch(promise_labels(random_unstructured_instance(3, 2, seed=6)), rng, 4)
         with pytest.raises(ValueError, match="at least 2"):
-            rcir_batch(yes_instance(1), rng, 4)
-        with pytest.raises(CapExceededError, match="capped"):
-            rcir_batch(two_block(CIRCLE_FORMULA_MAX_N + 1, 1), rng, 4)
+            rcir_batch(promise_labels(yes_instance(1)), rng, 4)
+        with pytest.raises(CapExceededError, match=f"capped at n={RCIR_EXACT_MAX_N}"):
+            rcir_batch((0,) * RCIR_EXACT_MAX_N + (1,), rng, 4)
+
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_verdicts_equal_gram_oracle(self, n):
+        # label rows must give exactly the verdicts of the Gram products on the same draws
+        cases = [
+            two_block(n, max(1, n // 2), dim=3, rotation=haar_unitary(3, seed=n)),
+            random_structured_instance(n, seed=n, rotate=True, max_blocks=4),
+            _phased_states(random_structured_instance(n, seed=100 + n, max_blocks=3), seed=n),
+        ]
+        for idx, inst in enumerate(cases):
+            for k in (1, 7, MC_BLOCK):
+                seed = [n, idx, k]
+                got = rcir_batch(promise_labels(inst), np.random.default_rng(seed), k)
+                want = gram_rcir_batch(inst, np.random.default_rng(seed), k)
+                assert got.shape == (k,) and got.dtype == bool
+                assert np.array_equal(got, want), (n, idx, k)
+
+    @pytest.mark.parametrize("sizes", [(6, 6), (4, 4, 4), (2, 2, 2, 2), (8, 8, 8)])
+    def test_equal_blocks_match_gram_oracle(self, sizes):
+        # equal block sizes make the gcd g > 1, so rows are compared at every divisor of g
+        n = sum(sizes)
+        order = np.random.default_rng(n).permutation(n) + 1
+        blocks = np.split(order, np.cumsum(sizes)[:-1])
+        part = Partition.of([b.tolist() for b in blocks])
+        dim = len(sizes) + 1
+        rotated = build_instance(part, dim, haar_unitary(dim, seed=len(sizes)))
+        for idx, inst in enumerate([rotated, _phased_states(rotated, seed=n)]):
+            for k in (1, 7, MC_BLOCK):
+                seed = [n, len(sizes), idx, k]
+                got = rcir_batch(promise_labels(inst), np.random.default_rng(seed), k)
+                want = gram_rcir_batch(inst, np.random.default_rng(seed), k)
+                assert np.array_equal(got, want), (sizes, idx, k)
+
+    def test_equal_blocks_match_exact(self):
+        inst = build_instance(Partition.of([[1, 4, 7, 10], [2, 5, 8, 11], [3, 6, 9, 12]]), dim=3)
+        labels, trials = promise_labels(inst), 20_000
+        est = mc_run(lambda rng, k: rcir_batch(labels, rng, k), trials, base_seed=73)
+        assert _sigma_bound(est.p_hat, rcir_exact_for_instance(inst), trials)
+
+
+class TestPromiseLabels:
+    def test_partition_labels(self):
+        inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
+        assert promise_labels(inst) == (0, 1, 0, 1)
+
+    def test_states_only_classes_numbered_by_first_member(self):
+        rot = haar_unitary(3, seed=9)
+        states = [rot[:, 2], 1j * rot[:, 0], -rot[:, 2], rot[:, 1], np.exp(0.3j) * rot[:, 0]]
+        inst = QsiInstance(tuple(PureState(v) for v in states))
+        assert promise_labels(inst) == (0, 1, 0, 2, 1)
+
+    def test_promise_checked(self):
+        with pytest.raises(ValueError, match="promise"):
+            promise_labels(random_unstructured_instance(4, 3, seed=2))
+
+
+def _phased_states(inst: QsiInstance, seed: int) -> QsiInstance:
+    """The same states, each times a random phase, with no partition stored."""
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(inst.n))
+    return QsiInstance(tuple(PureState(p * s.amps) for p, s in zip(phases, inst.states)))
 
 
 def brute_rcir(n: int, r: int) -> Fraction:
