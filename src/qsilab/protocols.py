@@ -122,11 +122,11 @@ def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np
 
 
 def _block_labels_three(inst: QsiInstance) -> tuple[int, ...]:
-    """Block labels for the exact evaluators: checks 3 states, partition, promise."""
+    """Block labels for the exact evaluators: checks 3 states and a partition,
+    against which ``QsiInstance`` has checked the promise."""
     _require_three(inst)
     if inst.partition is None:
         raise ValueError("exact evaluation needs the promise partition")
-    _require_promise(inst)
     return inst.partition.labels()
 
 
@@ -178,8 +178,9 @@ def srs_exact(inst: QsiInstance, m: int) -> Fraction:
     pair, whose symmetric line there is at 60 degrees to the last pair's.
 
     Raises ValueError when m < 1, CapExceededError when m > SRS_EXACT_MAX_M,
-    then ValueError when the instance does not have exactly 3 states, has no
-    promise partition, or breaks the equal-or-orthogonal promise.
+    then ValueError when the instance does not have exactly 3 states or has
+    no promise partition (a partition implies the promise, which
+    ``QsiInstance`` enforces).
     """
     return next(srs_exact_values(inst, range(m, m + 1)))
 
@@ -200,10 +201,9 @@ def srs_canonical_trace(
     halving normalization is dropped, which only rescales).
 
     Raises ValueError, checked in this order, when m < 1, when the instance
-    does not have exactly 3 states, when it has no promise partition, and
-    when its states break the equal-or-orthogonal promise. A partition
-    implies the promise, which ``QsiInstance`` enforces, so an instance
-    without one reports the missing partition.
+    does not have exactly 3 states, and when it has no promise partition. A
+    partition implies the promise, which ``QsiInstance`` enforces, so an
+    instance whose states break the promise reports the missing partition.
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
@@ -222,11 +222,11 @@ def srs_canonical_trace(
 
 
 def promise_labels(inst: QsiInstance) -> tuple[int, ...]:
-    """Block label of each state after one promise check: the partition's, or
-    else the classes of unit-modulus Gram entries, numbered by first member."""
-    _require_promise(inst)
+    """Block label of each state: the partition's, checked by the constructor,
+    or after one promise check the unit-modulus Gram classes by first member."""
     if inst.partition is not None:
         return inst.partition.labels()
+    _require_promise(inst)
     first = (np.abs(np.abs(inst.gram()) - 1) <= PROMISE_ATOL).argmax(axis=0)
     return tuple(np.unique(first, return_inverse=True)[1].tolist())
 
