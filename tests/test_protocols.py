@@ -526,10 +526,6 @@ class TestPromiseLabels:
         inst = QsiInstance(tuple(PureState(v) for v in states))
         assert promise_labels(inst) == (0, 1, 0, 2, 1)
 
-    def test_promise_checked(self):
-        with pytest.raises(ValueError, match="promise"):
-            promise_labels(random_unstructured_instance(4, 3, seed=2))
-
 
 def _phased_states(inst: QsiInstance, seed: int) -> QsiInstance:
     """The same states, each times a random phase, with no partition stored."""
