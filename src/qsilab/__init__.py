@@ -52,7 +52,6 @@ from .protocols import (
     rcir_exact,
     rcir_exact_for_instance,
     srs_batch,
-    srs_canonical_trace,
     srs_closed_form,
     srs_exact,
     wilson_interval,
@@ -62,7 +61,6 @@ from .qmath import (
     JointState,
     PureState,
     basis_state,
-    inner,
     mixture,
     tensor,
     trace_distance,

@@ -302,6 +302,10 @@ def _cmd_sweep(args, seed: int) -> tuple[list[str], list[dict], dict]:
 
 def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
     which = args.which
+    needs = {"two-block": "nl", "q": "nrs", "eq2": "nr", "basel": "n", "gap": ""}[which]
+    missing = " ".join(f"--{flag}" for flag in needs if getattr(args, flag) is None)
+    if missing:
+        raise InputError(f"bounds {which} needs {missing}")
     row: dict[str, Any]
     if which == "two-block":
         value = two_block_soundness(args.n, args.l).value
@@ -384,8 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--s", type=int)
     common(p_bounds)
 
-    p_self = sub.add_parser("selftest", help="run the full criteria suite")
-    common(p_self)
+    sub.add_parser("selftest", help="run the full criteria suite")
 
     return parser
 
@@ -428,11 +431,11 @@ def _emit(args, columns: list[str], rows: list[dict], record: RunRecord) -> None
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "selftest":
+        return 0 if run_all() else 1
     if args.seed is not None and args.seed < 0:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
-    if args.command == "selftest":
-        return 0 if run_all() else 1
 
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     params = _params_of(args)

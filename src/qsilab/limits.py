@@ -36,6 +36,9 @@ RCIR_EXACT_MAX_N = 10_000
 #: more than 4300 and no longer prints.
 SRS_EXACT_MAX_M = 7_000
 
+#: Sequential random swap's float path sum: 3 * 2^(m-1) rows of <= 27 amplitudes.
+SRS_PATH_MAX_M = 12
+
 
 class CapExceededError(RuntimeError):
     """A requested computation exceeds the configured size caps."""

@@ -9,12 +9,14 @@ measurement collapse and as an exact-probability evaluator:
 * randomized circle: one uniformly random relabeling of the states followed
   by a single cyclic-shift test.
 
-Exact evaluators use rational arithmetic end to end. Monte Carlo trials run
-in blocks of MC_BLOCK, each block drawing from its own stream seeded by the
-base seed and the block index, so runs are reproducible from the seed.
-Within a block, sequential random swap evolves one state per distinct path
-of tested pairs rather than one per trial: trials that tested the same
-pairs share a row of a state table, and each round updates the rows once.
+Exact values are rational closed forms; ``srs_path_sum`` checks sequential
+swap's in floating point on the kernel the Monte Carlo samples. Monte Carlo
+trials run in blocks of MC_BLOCK, each block drawing from its own stream
+seeded by the base seed and the block index, so runs are reproducible from
+the seed. Within a block, sequential random swap evolves one state per
+distinct path of tested pairs rather than one per trial: trials that tested
+the same pairs share a row of a state table, and each round updates the rows
+once.
 Randomized circle samples from the states' integer block labels alone: a
 relabeled run passes with the share of cyclic shifts that fix its label row.
 """
@@ -30,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .instances import PROMISE_ATOL, QsiInstance, Verdict, verify_promise
-from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, CapExceededError
+from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, SRS_PATH_MAX_M, CapExceededError
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -81,17 +83,39 @@ def _require_promise(inst: QsiInstance) -> None:
         raise ValueError("instance violates the equal-or-orthogonal promise")
 
 
-def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np.ndarray:
-    """k sampled runs of the m-round sequential swap protocol; True is YES.
+def srs_start(inst: QsiInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The sequential swap kernel's one-row table of the product state, and
+    the 3 x r^3 flat indices that swap each pair of ``_PAIRS``.
 
     Swap tests commute with U (x) U (x) U, so each state is written in an
     orthonormal basis of the span of the three: the columns of R in the QR
     factorization of the d x 3 state matrix, at most 27 amplitudes whatever
-    d is. A trial's state depends only on the pairs it has tested, so the
-    states form a table with one row per distinct pair path (at most
-    min(k, 3 * 2^(t-1)) rows in round t) and each trial holds its row's
-    slot. Each round computes, once per row, the EQUAL branch
-    (state + swapped)/2 and its probability p0; each trial passes with its
+    d is. Raises ValueError when the instance does not have exactly 3
+    states, then when its states break the promise."""
+    _require_three(inst)
+    _require_promise(inst)
+    coords = np.linalg.qr(np.column_stack([s.amps for s in inst.states]), mode="r")
+    r = len(coords)
+    cube = np.arange(r**3).reshape(r, r, r)
+    swaps = np.stack([cube.swapaxes(i - 1, j - 1).reshape(-1) for i, j in _PAIRS])
+    return np.einsum("a,b,c->abc", *coords.T).reshape(1, -1), swaps
+
+
+def srs_round(table: np.ndarray, swap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The EQUAL branch (state + swapped)/2 of a swap test on each table row,
+    row i swapped by ``swap[i]`` (a one-row table is broadcast), and its p0."""
+    equal = (table + np.take_along_axis(table, swap, axis=1)) / 2
+    return equal, (np.abs(equal) ** 2).sum(axis=1)
+
+
+def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k sampled runs of the m-round sequential swap protocol; True is YES.
+
+    Runs the kernel ``srs_start`` / ``srs_round``. A trial's state depends
+    only on the pairs it has tested, so the states form a table with one
+    row per distinct pair path (at most min(k, 3 * 2^(t-1)) rows in round
+    t) and each trial holds its row's slot. Each round computes, once per
+    row, the EQUAL branch and its probability p0; each trial passes with its
     row's p0 and then keeps the leftover register plus one of the two
     tested ones, so a row has at most two children, each renormalized by
     the parent's p0. That p0 is at least 1/4 even on rows whose trials all
@@ -100,18 +124,11 @@ def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
-    _require_three(inst)
-    _require_promise(inst)
-    coords = np.linalg.qr(np.column_stack([s.amps for s in inst.states]), mode="r")
-    r = len(coords)
-    cube = np.arange(r**3).reshape(r, r, r)
-    swaps = np.stack([cube.swapaxes(i - 1, j - 1).reshape(-1) for i, j in _PAIRS])
+    table, swaps = srs_start(inst)
     pair, slot = np.unique(rng.integers(3, size=k), return_inverse=True)
-    table = np.broadcast_to(np.einsum("a,b,c->abc", *coords.T).reshape(-1), (len(pair), r**3))
     alive = np.ones(k, dtype=bool)
     for round_no in range(1, m + 1):
-        equal = (table + np.take_along_axis(table, swaps[pair], axis=1)) / 2
-        p0 = (np.abs(equal) ** 2).sum(axis=1)
+        equal, p0 = srs_round(table, swaps[pair])
         alive &= rng.random(k) < p0[slot]
         if round_no < m:
             child, slot = np.unique(2 * slot + rng.integers(2, size=k), return_inverse=True)
@@ -121,39 +138,32 @@ def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np
     return alive
 
 
-def _block_labels_three(inst: QsiInstance) -> tuple[int, ...]:
-    """Block labels for the exact evaluators: checks 3 states and a partition,
-    against which ``QsiInstance`` has checked the promise."""
-    _require_three(inst)
-    if inst.partition is None:
-        raise ValueError("exact evaluation needs the promise partition")
-    return inst.partition.labels()
+def srs_path_sum(inst: QsiInstance, m: int) -> np.ndarray:
+    """YES probabilities of the t-round sequential swap protocol, t = 1..m:
+    the kernel ``srs_batch`` samples, summed over every pair path.
 
-
-def _exact_swap(state: dict[int, int], b: int, pair: tuple[int, int]) -> dict[int, int]:
-    i, j = pair
-    out: dict[int, int] = {}
-    for idx, amp in state.items():
-        digits = [idx // (b * b) % b, idx // b % b, idx % b]
-        digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
-        key = digits[0] * b * b + digits[1] * b + digits[2]
-        out[key] = out.get(key, 0) + amp
-    return out
-
-
-def _exact_add(s1: dict[int, int], s2: dict[int, int]) -> dict[int, int]:
-    out = dict(s1)
-    for key, amp in s2.items():
-        val = out.get(key, 0) + amp
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _exact_norm2(state: dict[int, int]) -> int:
-    return sum(amp * amp for amp in state.values())
+    The 3 * 2^(t-1) pair paths of t rounds are equally likely, and each
+    passes with the product of its rounds' p0; a t-round run is the first t
+    rounds of an m-round one. Raises ValueError when m < 1,
+    CapExceededError when m > SRS_PATH_MAX_M, then ValueError where
+    ``srs_batch`` does.
+    """
+    if m < 1:
+        raise ValueError("round count must be at least 1")
+    if m > SRS_PATH_MAX_M:
+        raise CapExceededError(f"sequential swap path sum capped at m={SRS_PATH_MAX_M}, got m={m}")
+    table, swaps = srs_start(inst)
+    pair, passed = np.arange(3), 1.0
+    values = np.empty(m)
+    for t in range(m):
+        equal, p0 = srs_round(table, swaps[pair])
+        passed = passed * p0
+        values[t] = passed.mean()
+        if t < m - 1:
+            table = np.repeat(equal / np.sqrt(p0)[:, None], 2, axis=0)
+            pair = _NEXT_PAIR[pair].reshape(-1)
+            passed = np.repeat(passed, 2)
+    return values
 
 
 def srs_exact_values(inst: QsiInstance, rounds: range) -> Iterator[Fraction]:
@@ -162,7 +172,10 @@ def srs_exact_values(inst: QsiInstance, rounds: range) -> Iterator[Fraction]:
         raise ValueError("round count must be at least 1")
     if (last := rounds.stop - 1) > SRS_EXACT_MAX_M:
         raise CapExceededError(f"exact sequential swap capped at m={SRS_EXACT_MAX_M}, got m={last}")
-    blocks = max(_block_labels_three(inst)) + 1
+    _require_three(inst)
+    if inst.partition is None:
+        raise ValueError("exact evaluation needs the promise partition")
+    blocks = inst.partition.block_count
     base = {1: Fraction(1), 2: Fraction(1, 3), 3: Fraction(1, 6)}[blocks]
     return (base if blocks == 1 else base + Fraction(1, 3 * 4 ** (m - 1)) for m in rounds)
 
@@ -183,42 +196,6 @@ def srs_exact(inst: QsiInstance, m: int) -> Fraction:
     ``QsiInstance`` enforces).
     """
     return next(srs_exact_values(inst, range(m, m + 1)))
-
-
-class SrsRound(NamedTuple):
-    pair: tuple[int, int]
-    pass_prob: Fraction
-    state: dict[int, int]  # unnormalized integer amplitudes, flat index -> coeff
-
-
-def srs_canonical_trace(
-    inst: QsiInstance, m: int, first_pair: tuple[int, int] = (1, 2)
-) -> list[SrsRound]:
-    """All-EQUAL branch under the keep-the-second-register policy.
-
-    Returns, per round, the tested pair, the conditional pass probability,
-    and the unnormalized post-round state with integer coefficients (the
-    halving normalization is dropped, which only rescales).
-
-    Raises ValueError, checked in this order, when m < 1, when the instance
-    does not have exactly 3 states, and when it has no promise partition. A
-    partition implies the promise, which ``QsiInstance`` enforces, so an
-    instance whose states break the promise reports the missing partition.
-    """
-    if m < 1:
-        raise ValueError("round count must be at least 1")
-    labels = _block_labels_three(inst)
-    b = max(labels) + 1
-    state = {labels[0] * b * b + labels[1] * b + labels[2]: 1}
-    pair = first_pair
-    rounds: list[SrsRound] = []
-    for _ in range(m):
-        norm2 = _exact_norm2(state)
-        state = _exact_add(state, _exact_swap(state, b, pair))
-        rounds.append(SrsRound(pair, Fraction(_exact_norm2(state), 4 * norm2), state))
-        leftover = ({1, 2, 3} - set(pair)).pop()
-        pair = (min(leftover, pair[1]), max(leftover, pair[1]))
-    return rounds
 
 
 def promise_labels(inst: QsiInstance) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small multi-register quantum systems:
-pure and joint states, tensor and inner products, density matrices and the
-trace distance. The identity-test circuit, `identity_tests.run_circuit`, takes
+pure and joint states, tensor products, density matrices and the trace
+distance. The identity-test circuit, `identity_tests.run_circuit`, takes
 MEASURE_EPS from here.
 
 All value objects are immutable after construction and every operation is a
@@ -105,13 +105,6 @@ def tensor(states: Sequence[PureState]) -> PureState:
     if not states:
         raise ValueError("empty tensor")
     return PureState(reduce(np.kron, (s.amps for s in states)))
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,10 +40,12 @@ from .permgroup import Partition
 from .protocols import (
     mc_run,
     rcir_exact,
-    srs_canonical_trace,
-    srs_closed_form,
     srs_batch,
+    srs_closed_form,
     srs_exact,
+    srs_path_sum,
+    srs_round,
+    srs_start,
 )
 
 
@@ -251,31 +253,31 @@ def criterion_7() -> CriterionResult:
         q_prev = cf[m - 1].q if m > 1 else Fraction(1)
         if exact != Fraction(2, 3) * q_m + Fraction(1, 3) * q_prev:
             problems.append(f"m={m}: exact {exact} != (2/3)q_m + (1/3)q_(m-1)")
-        for name, inst in (("two-identical", two_ident), ("all-orthogonal", all_orth)):
-            chains = [srs_canonical_trace(inst, m, pair) for pair in ((1, 2), (1, 3), (2, 3))]
-            mean = sum(math.prod(rnd.pass_prob for rnd in chain) for chain in chains) / 3
-            value = srs_exact(inst, m)
-            if value != mean:
-                problems.append(f"m={m}: {name} exact {value} != chain mean {mean}")
         if exact > Fraction(1, 3) + Fraction(1, 4 ** (m - 1)):
             problems.append(f"m={m}: exact {exact} exceeds 1/3 + 1/4^(m-1)")
         if srs_exact(build_instance(Partition.of([[1, 2, 3]]), dim=2), m) != 1:
             problems.append(f"m={m}: YES instance not accepted with certainty")
 
-    for k, rnd in enumerate(srs_canonical_trace(two_ident, 6), start=1):
-        if rnd.pass_prob != cf[k].p:
-            problems.append(f"trace round {k}: pass prob {rnd.pass_prob} != {cf[k].p}")
-        coeffs = {reg: rnd.state.get({1: 4, 2: 2, 3: 1}[reg], 0) for reg in (1, 2, 3)}
-        a = int(cf[k].a)
-        want = {a, a + 1}
-        leftover = ({1, 2, 3} - set(rnd.pair)).pop()
-        pair_vals = {coeffs[rnd.pair[0]], coeffs[rnd.pair[1]]}
-        if len(pair_vals) != 1:
-            problems.append(f"trace round {k}: tested pair coefficients differ: {coeffs}")
-        expect_left = a if k % 2 == 1 else a + 1
-        expect_pair = a + 1 if k % 2 == 1 else a
-        if coeffs[leftover] != expect_left or pair_vals != {expect_pair}:
-            problems.append(f"trace round {k}: coefficients {coeffs} != pattern (a={a})")
+    # the kernel the Monte Carlo samples, summed over every pair path
+    for blocks in ([[1, 2, 3]], [[1, 2], [3]], [[1, 3], [2]], [[2, 3], [1]], [[1], [2], [3]]):
+        inst = build_instance(Partition.of(blocks), dim=3)
+        for m, value in enumerate(srs_path_sum(inst, 12), start=1):
+            if abs(value - float(srs_exact(inst, m))) > 1e-12:
+                problems.append(f"m={m}: {blocks} exact {srs_exact(inst, m)} != path sum {value!r}")
+
+    # keep-second path on (x, y, x): flat index of y in register 1, 2, 3 is 4, 2, 1,
+    # and swaps holds the pairs (1, 2), (1, 3), (2, 3) in rows i + j - 3
+    table, swaps = srs_start(two_ident)
+    for k, (i, j) in enumerate(((1, 2), (2, 3), (1, 3), (2, 3), (1, 3), (2, 3)), start=1):
+        equal, p0 = srs_round(table, swaps[[i + j - 3]])
+        table = equal / math.sqrt(p0[0])
+        amps = dict(zip((1, 2, 3), equal[0, [4, 2, 1]]))
+        a, left = cf[k].a, amps[6 - i - j]
+        ratio = left / amps[i] if k % 2 == 1 else amps[i] / left
+        if abs(p0[0] - float(cf[k].p)) > 1e-12:
+            problems.append(f"kernel round {k}: pass prob {p0[0]!r} != {cf[k].p}")
+        if abs(amps[i] - amps[j]) > 1e-12 or abs(ratio - float(a / (a + 1))) > 1e-12:
+            problems.append(f"kernel round {k}: amplitudes {amps} off pattern (a={a})")
 
     trials = 100_000
     mc_cases = [

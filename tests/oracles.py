@@ -9,10 +9,15 @@ formula with the code under test. ``per_trial_srs_batch`` keeps one state
 per trial where ``srs_batch`` keeps one per pair path; the two draw the same
 random numbers, so their verdicts agree exactly. Likewise
 ``gram_rcir_batch`` multiplies Gram entries around every cyclic shift where
-``rcir_batch`` compares integer label rows, on the same draws. The permutation objects,
-the symmetric-group table with its signs and stabilizer counts, the dense
-symmetric projector, the alignment builders and ``pure_density`` are
-test-side helpers that the package itself does not need.
+``rcir_batch`` compares integer label rows, on the same draws.
+``srs_canonical_trace`` evolves the sequential swap state with integer
+amplitudes over block labels, where ``qsilab.protocols`` runs one float
+kernel, and ``loop_promise_error`` checks the promise one ``inner`` product
+at a time, where ``QsiInstance`` compares the Gram matrix once. The
+permutation objects, the symmetric-group table with its signs and stabilizer
+counts, the dense symmetric projector, the alignment builders,
+``pure_density`` and ``inner`` are test-side helpers that the package itself
+does not need.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations as _lex_permutations
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,10 +38,17 @@ from qsilab.identity_tests import (
     equal_prob_formula,
     run_circuit,
 )
-from qsilab.instances import Alignment, QsiInstance, Verdict, build_instance, verify_promise
+from qsilab.instances import (
+    PROMISE_ATOL,
+    Alignment,
+    QsiInstance,
+    Verdict,
+    build_instance,
+    verify_promise,
+)
 from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
 from qsilab.permgroup import Partition
-from qsilab.protocols import rcir_exact, srs_canonical_trace
+from qsilab.protocols import rcir_exact
 from qsilab.qmath import MEASURE_EPS, DensityMatrix, JointState, PureState
 
 _FORMULA_CHUNK = 200_000
@@ -233,6 +245,29 @@ def symmetric_projector(dim: int, n: int) -> np.ndarray:
         target = flat.transpose(images).ravel()
         proj[target, eye] += 1.0
     return proj / math.factorial(n)
+
+
+def inner(a: PureState, b: PureState) -> complex:
+    """Inner product, conjugate-linear in the first argument."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def loop_promise_error(states: Sequence[PureState], part: Partition) -> str | None:
+    """The message of the first pair, in row-major order, whose inner-product
+    modulus is off its promised value (1 within a block, 0 across), or None:
+    one ``inner`` call per pair, where ``QsiInstance`` compares the Gram
+    matrix against the block mask."""
+    labels = part.labels()
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            mod = abs(inner(states[i], states[j]))
+            want = 1.0 if labels[i] == labels[j] else 0.0
+            if abs(mod - want) > PROMISE_ATOL:
+                return (f"promise violated at pair ({i + 1},{j + 1}): |<i|j>|={mod:.3g}, "
+                        f"expected {want:g}")
+    return None
 
 
 def pure_density(state: PureState) -> DensityMatrix:
@@ -477,6 +512,72 @@ def srs_sample(inst: QsiInstance, m: int, rng: np.random.Generator) -> ProtocolO
             kept = pair[int(rng.integers(2))]
             pair = (min(leftover, kept), max(leftover, kept))
     return ProtocolOutcome("YES", m, tuple(transcript))
+
+
+def _exact_swap(state: dict[int, int], b: int, pair: tuple[int, int]) -> dict[int, int]:
+    i, j = pair
+    out: dict[int, int] = {}
+    for idx, amp in state.items():
+        digits = [idx // (b * b) % b, idx // b % b, idx % b]
+        digits[i - 1], digits[j - 1] = digits[j - 1], digits[i - 1]
+        key = digits[0] * b * b + digits[1] * b + digits[2]
+        out[key] = out.get(key, 0) + amp
+    return out
+
+
+def _exact_add(s1: dict[int, int], s2: dict[int, int]) -> dict[int, int]:
+    out = dict(s1)
+    for key, amp in s2.items():
+        val = out.get(key, 0) + amp
+        if val:
+            out[key] = val
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _exact_norm2(state: dict[int, int]) -> int:
+    return sum(amp * amp for amp in state.values())
+
+
+class SrsRound(NamedTuple):
+    pair: tuple[int, int]
+    pass_prob: Fraction
+    state: dict[int, int]  # unnormalized integer amplitudes, flat index -> coeff
+
+
+def srs_canonical_trace(
+    inst: QsiInstance, m: int, first_pair: tuple[int, int] = (1, 2)
+) -> list[SrsRound]:
+    """All-EQUAL branch under the keep-the-second-register policy.
+
+    Returns, per round, the tested pair, the conditional pass probability,
+    and the unnormalized post-round state with integer coefficients (the
+    halving normalization is dropped, which only rescales).
+
+    Raises ValueError, checked in this order, when m < 1, when the instance
+    does not have exactly 3 states, and when it has no promise partition. A
+    partition implies the promise, which ``QsiInstance`` enforces, so an
+    instance whose states break the promise reports the missing partition.
+    """
+    if m < 1:
+        raise ValueError("round count must be at least 1")
+    if inst.n != 3:
+        raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
+    if inst.partition is None:
+        raise ValueError("exact evaluation needs the promise partition")
+    labels = inst.partition.labels()
+    b = max(labels) + 1
+    state = {labels[0] * b * b + labels[1] * b + labels[2]: 1}
+    pair = first_pair
+    rounds: list[SrsRound] = []
+    for _ in range(m):
+        norm2 = _exact_norm2(state)
+        state = _exact_add(state, _exact_swap(state, b, pair))
+        rounds.append(SrsRound(pair, Fraction(_exact_norm2(state), 4 * norm2), state))
+        leftover = ({1, 2, 3} - set(pair)).pop()
+        pair = (min(leftover, pair[1]), max(leftover, pair[1]))
+    return rounds
 
 
 def chain_srs_exact(inst: QsiInstance, m: int) -> Fraction:

@@ -420,6 +420,25 @@ class TestBoundsCommand:
         assert code == 3
         assert f"capped at n={RCIR_EXACT_MAX_N}" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["two-block", "--l", "2"], "--n"),
+            (["two-block", "--n", "5"], "--l"),
+            (["q", "--r", "6", "--s", "3"], "--n"),
+            (["q", "--n", "12", "--s", "3"], "--r"),
+            (["q", "--n", "12", "--r", "6"], "--s"),
+            (["eq2", "--r", "2"], "--n"),
+            (["eq2", "--n", "4"], "--r"),
+            (["basel"], "--n"),
+        ],
+    )
+    def test_missing_flag_exits_2_naming_it(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "bounds", *argv, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bounds {argv[0]} needs {flag}\n"
+
     def test_gap(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "gap", "--seed", "1")
         assert code == 0
@@ -452,10 +471,32 @@ class TestMain:
 
         for name in ("_load", "build_instance", "run_all", "two_block_soundness"):
             monkeypatch.setattr(f"qsilab.cli.{name}", refuse)
+        if argv == ["selftest"]:
+            # selftest takes no --seed: the parser refuses it
+            with pytest.raises(SystemExit) as refused:
+                main([*argv, "--seed", "-1"])
+            assert refused.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: unrecognized arguments: --seed -1\n"
+            )
+            return
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert code == 2
         assert out == ""
         assert err == "error: --seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("flags", [["--out", "F"], ["--json"], ["--seed", "3"]])
+    def test_selftest_refuses_output_and_seed_flags(self, capsys, monkeypatch, tmp_path, flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("selftest ran with a flag it ignores")
+
+        monkeypatch.setattr("qsilab.cli.run_all", refuse)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as refused:
+            main(["selftest", *flags])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failing_selftest_criterion_exits_1(self, capsys, monkeypatch):
         def failing():

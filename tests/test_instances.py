@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
-from oracles import alignment_from_pattern, instance_from_alignment, partition_from_alignment
+from oracles import (
+    alignment_from_pattern,
+    instance_from_alignment,
+    loop_promise_error,
+    partition_from_alignment,
+)
 from qsilab.instances import (
     Alignment,
     QsiInstance,
@@ -62,6 +67,30 @@ class TestQsiInstance:
         with pytest.raises(ValueError, match="promise violated"):
             QsiInstance(states, Partition.of([[1], [2]]))
 
+    @pytest.mark.parametrize(
+        "blocks", [[[1, 3], [2, 4]], [[1, 2], [3, 4, 5]], [[1], [2, 4], [3, 5]], [[1, 2, 3], [4], [5, 6]]]
+    )
+    def test_promise_message_matches_pair_loop(self, blocks):
+        # perturb a random subset of states; the Gram check must name the loop's first bad pair
+        part = Partition.of(blocks)
+        rng = np.random.default_rng(part.n)
+        clean = build_instance(part, 4, haar_unitary(4, seed=part.n)).states
+        messages = []
+        for _ in range(40):
+            states = list(clean)
+            for idx in rng.choice(part.n, size=rng.integers(1, 4), replace=False):
+                noise = rng.choice([1e-12, 1e-6, 0.1]) * rng.standard_normal(4)
+                states[idx] = PureState.from_unnormalized(states[idx].amps + noise)
+            want = loop_promise_error(states, part)
+            if want is None:
+                QsiInstance(tuple(states), part)
+                continue
+            with pytest.raises(ValueError) as bad:
+                QsiInstance(tuple(states), part)
+            assert str(bad.value) == want
+            messages.append(want)
+        assert len({m.split(":")[0] for m in messages}) >= 3
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             QsiInstance((basis_state(2, 0), basis_state(3, 0)))
@@ -101,6 +130,7 @@ class TestVerifyPromise:
         # a norm within PureState's tolerance may put <i|i> past the promise tolerance
         long = PureState(np.array([1 + 8e-10, 0], dtype=complex))
         assert verify_promise(QsiInstance((long, basis_state(2, 1)))) is Verdict.NO_INSTANCE
+        QsiInstance((long, basis_state(2, 1)), Partition.of([[1], [2]]))
 
 
 class TestAlignment:

@@ -15,6 +15,7 @@ from oracles import (
     per_trial_srs_batch,
     permuted_instance,
     rcir_sample,
+    srs_canonical_trace,
     srs_sample,
     worst_merge_rcir,
 )
@@ -29,6 +30,7 @@ from qsilab.instances import (
 from qsilab.limits import (
     RCIR_EXACT_MAX_N,
     SRS_EXACT_MAX_M,
+    SRS_PATH_MAX_M,
     CapExceededError,
 )
 from qsilab.permgroup import Partition
@@ -43,9 +45,9 @@ from qsilab.protocols import (
     rcir_exact,
     rcir_exact_for_instance,
     srs_batch,
-    srs_canonical_trace,
     srs_closed_form,
     srs_exact,
+    srs_path_sum,
     wilson_interval,
 )
 
@@ -280,6 +282,38 @@ class TestSrsCanonicalTrace:
     def test_requires_partition_before_promise(self):
         with pytest.raises(ValueError, match="partition"):
             srs_canonical_trace(random_unstructured_instance(3, 2, seed=4), 1)
+
+
+class TestSrsPathSum:
+    @pytest.mark.parametrize(
+        "blocks,dim",
+        [(b, d) for d in (2, 3, 5) for b in THREE_STATE_PARTITIONS if len(b) <= d],
+    )
+    @pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
+    def test_matches_exact(self, blocks, dim, rotate):
+        rotation = haar_unitary(dim, seed=90 + dim) if rotate else None
+        inst = build_instance(Partition.of(blocks), dim, rotation)
+        values = srs_path_sum(inst, SRS_PATH_MAX_M)
+        assert values.shape == (SRS_PATH_MAX_M,)
+        for m, value in enumerate(values, start=1):
+            assert abs(value - float(srs_exact(inst, m))) <= 1e-12, (blocks, dim, m)
+
+    @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
+    def test_prefixes_are_shorter_runs(self, blocks):
+        inst = build_instance(Partition.of(blocks), 3, haar_unitary(3, seed=91))
+        values = srs_path_sum(inst, 12)
+        for t in range(1, 13):
+            assert values[t - 1] == srs_path_sum(inst, t)[-1]
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError, match="round count"):
+            srs_path_sum(YES3, 0)
+        with pytest.raises(ValueError, match="3 states"):
+            srs_path_sum(yes_instance(2), 1)
+        with pytest.raises(ValueError, match="promise"):
+            srs_path_sum(random_unstructured_instance(3, 2, seed=5), 1)
+        with pytest.raises(CapExceededError, match=f"m={SRS_PATH_MAX_M}"):
+            srs_path_sum(YES3, SRS_PATH_MAX_M + 1)
 
 
 class TestSrsSample:

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd_density
-from oracles import dft, measure_first_register, pure_density
+from oracles import dft, inner, measure_first_register, pure_density
 from qsilab.qmath import (
     DensityMatrix,
     JointState,
     PureState,
     basis_state,
-    inner,
     mixture,
     tensor,
     trace_distance,
