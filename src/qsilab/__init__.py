@@ -9,7 +9,6 @@ against each other.
 from .bounds import (
     BaselAsymptote,
     GapReport,
-    RationalBound,
     basel_asymptote,
     eq2_bound,
     inverse_square_tail_bracket,
@@ -21,16 +20,13 @@ from .bounds import (
     two_sided_gap_check,
 )
 from .identity_tests import (
-    RepetitionSet,
     TestKind,
     TestResult,
     equal_prob_formula,
     equal_prob_rational,
-    repetition_set,
     run_circuit,
 )
 from .instances import (
-    Alignment,
     QsiInstance,
     Verdict,
     build_instance,

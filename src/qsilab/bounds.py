@@ -27,19 +27,7 @@ CASE_FULL_R = "s=r"
 CASE_UNCOVERED = "uncovered"
 
 
-@dataclass(frozen=True)
-class RationalBound:
-    """An exact rational plus its float view."""
-
-    value: Fraction
-    float_view: float
-
-    @classmethod
-    def of(cls, value: Fraction) -> "RationalBound":
-        return cls(value, float(value))
-
-
-def two_block_soundness(n: int, l: int) -> RationalBound:
+def two_block_soundness(n: int, l: int) -> Fraction:
     """Stabilizer ratio l!(n-l)!/n! for a two-block split; always <= 1/n."""
     if not 2 <= n <= TWO_BLOCK_MAX_N:
         raise ValueError(f"n must be within 2..{TWO_BLOCK_MAX_N}, got {n}")
@@ -48,10 +36,10 @@ def two_block_soundness(n: int, l: int) -> RationalBound:
     value = Fraction(math.factorial(l) * math.factorial(n - l), math.factorial(n))
     if value > Fraction(1, n):
         raise ArithmeticError(f"two-block ratio {value} exceeds 1/{n}")
-    return RationalBound.of(value)
+    return value
 
 
-def q_value(n: int, r: int, s: int) -> RationalBound:
+def q_value(n: int, r: int, s: int) -> Fraction:
     """Binomial ratio C(n/s, r/s)/C(n, r) * s/n for a divisor s of n and r.
 
     Raises CapExceededError when n exceeds RCIR_EXACT_MAX_N.
@@ -62,8 +50,7 @@ def q_value(n: int, r: int, s: int) -> RationalBound:
         raise ValueError(f"s={s} must divide both n={n} and r={r}")
     if n > RCIR_EXACT_MAX_N:
         raise CapExceededError(f"exact q bound capped at n={RCIR_EXACT_MAX_N}, got n={n}")
-    value = Fraction(math.comb(n // s, r // s), math.comb(n, r)) * Fraction(s, n)
-    return RationalBound.of(value)
+    return Fraction(math.comb(n // s, r // s), math.comb(n, r)) * Fraction(s, n)
 
 
 def q_bound_case(n: int, r: int, s: int) -> str:
@@ -77,15 +64,15 @@ def q_bound_case(n: int, r: int, s: int) -> str:
     return CASE_UNCOVERED
 
 
-def q_case_bound(n: int, r: int, s: int) -> RationalBound | None:
+def q_case_bound(n: int, r: int, s: int) -> Fraction | None:
     """The case bound for q(n, r, s), or None when no case guard applies."""
     case = q_bound_case(n, r, s)
     if case == CASE_FULL_R:
-        return RationalBound.of(Fraction(2, n * (n - 1)))
+        return Fraction(2, n * (n - 1))
     if case == CASE_HALF_R:
-        return RationalBound.of(Fraction(6, (n - 1) * (n - 2) * (n - 3)))
+        return Fraction(6, (n - 1) * (n - 2) * (n - 3))
     if case == CASE_SMALL_S:
-        return RationalBound.of(Fraction(1, n * s * s))
+        return Fraction(1, n * s * s)
     return None
 
 
@@ -100,10 +87,10 @@ def q_bound_check(n: int, r: int, s: int) -> bool | None:
     bound = q_case_bound(n, r, s)
     if bound is None:
         return None
-    return q_value(n, r, s).value <= bound.value
+    return q_value(n, r, s) <= bound
 
 
-def eq2_bound(n: int, r: int) -> RationalBound:
+def eq2_bound(n: int, r: int) -> Fraction:
     """Soundness bound for the randomized circle protocol: 1/n plus the
     per-divisor terms q(n, r, s) over all common divisors s >= 2 of n and r.
 
@@ -116,8 +103,8 @@ def eq2_bound(n: int, r: int) -> RationalBound:
     total = Fraction(1, n)
     for s in range(2, r + 1):
         if n % s == 0 and r % s == 0:
-            total += q_value(n, r, s).value
-    return RationalBound.of(total)
+            total += q_value(n, r, s)
+    return total
 
 
 class BaselAsymptote(NamedTuple):

@@ -105,17 +105,10 @@ def _load(path: str) -> QsiInstance:
         raise InputError(f"cannot load instance {path}: {exc}") from exc
 
 
-def _kind(name: str) -> TestKind:
-    try:
-        return TestKind(name)
-    except ValueError as exc:
-        raise InputError(f"unknown test kind {name!r}") from exc
-
-
 # --- subcommand runners ------------------------------------------------------
 
 def _cmd_test(args, seed: int) -> tuple[list[str], list[dict], dict]:
-    kind = _kind(args.kind)
+    kind = TestKind(args.kind)
     inst = _load(args.instance)
     row: dict[str, Any] = {
         "kind": kind.value,
@@ -201,7 +194,7 @@ def _sweep_perm_soundness(args) -> tuple[list[str], list[dict]]:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         for l in range(1, n):
-            value = two_block_soundness(n, l).value
+            value = two_block_soundness(n, l)
             rows.append({
                 "n": n,
                 "l": l,
@@ -218,7 +211,7 @@ def _sweep_rcir_vs_bound(args) -> tuple[list[str], list[dict]]:
     for n in range(args.n_min, args.n_max + 1):
         for r in range(1, n // 2 + 1):
             exact = rcir_exact(n, r)
-            bound = eq2_bound(n, r).value
+            bound = eq2_bound(n, r)
             rows.append({
                 "n": n,
                 "r": r,
@@ -268,7 +261,7 @@ def _sweep_qbounds(args) -> tuple[list[str], list[dict]]:
             for s in range(2, r + 1):
                 if n % s or r % s:
                     continue
-                value = q_value(n, r, s).value
+                value = q_value(n, r, s)
                 case = q_bound_case(n, r, s)
                 case_bound = q_case_bound(n, r, s)
                 rows.append({
@@ -278,9 +271,9 @@ def _sweep_qbounds(args) -> tuple[list[str], list[dict]]:
                     "q_rational": _rat(value),
                     "q_float": float(value),
                     "case": case,
-                    "case_bound_rational": _rat(case_bound.value) if case_bound else None,
-                    "case_bound_float": case_bound.float_view if case_bound else None,
-                    "holds": (value <= case_bound.value) if case_bound else None,
+                    "case_bound_rational": _rat(case_bound) if case_bound is not None else None,
+                    "case_bound_float": float(case_bound) if case_bound is not None else None,
+                    "holds": value <= case_bound if case_bound is not None else None,
                 })
     columns = ["n", "r", "s", "q_rational", "q_float", "case",
                "case_bound_rational", "case_bound_float", "holds"]
@@ -297,6 +290,10 @@ _SWEEPS = {
 
 def _cmd_sweep(args, seed: int) -> tuple[list[str], list[dict], dict]:
     columns, rows = _SWEEPS[args.target](args)
+    if not rows:
+        flags = (f"--m-max {args.m_max}" if args.target == "srs-vs-m"
+                 else f"--n-min {args.n_min} --n-max {args.n_max}")
+        raise InputError(f"sweep {args.target} has no rows for {flags}")
     return columns, rows, {"rows": len(rows)}
 
 
@@ -308,17 +305,17 @@ def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
         raise InputError(f"bounds {which} needs {missing}")
     row: dict[str, Any]
     if which == "two-block":
-        value = two_block_soundness(args.n, args.l).value
+        value = two_block_soundness(args.n, args.l)
         row = {"bound": which, "n": args.n, "l": args.l,
                "value_rational": _rat(value), "value_float": float(value),
                "one_over_n_float": 1.0 / args.n}
     elif which == "q":
-        value = q_value(args.n, args.r, args.s).value
+        value = q_value(args.n, args.r, args.s)
         row = {"bound": which, "n": args.n, "r": args.r, "s": args.s,
                "value_rational": _rat(value), "value_float": float(value),
                "case": q_bound_case(args.n, args.r, args.s)}
     elif which == "eq2":
-        value = eq2_bound(args.n, args.r).value
+        value = eq2_bound(args.n, args.r)
         row = {"bound": which, "n": args.n, "r": args.r,
                "value_rational": _rat(value), "value_float": float(value)}
     elif which == "basel":

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import factorial, prod
-from typing import NamedTuple
+from math import factorial, gcd, prod
 
 import numpy as np
 
-from .instances import Alignment, QsiInstance
+from .instances import QsiInstance
 from .limits import CIRCLE_FORMULA_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
+from .permgroup import fixed_shifts
 from .qmath import MEASURE_EPS, JointState
 
 #: Imaginary parts of the Gram-matrix formula above this are a bug.
@@ -186,40 +186,19 @@ def equal_prob_rational(kind: TestKind, inst: QsiInstance) -> Fraction:
     group. In the symmetric group that share is prod(l_i!)/n! over the block
     sizes l_i. A block of two or more puts a transposition in the stabilizer,
     so exactly half of it is even and the alternating group gives the same
-    share; with every block a singleton only the identity is left, 2/n!. A
-    cyclic shift fixes the block labels exactly when it is a multiple of
-    their period, so the swap and circle tests give 1/period.
+    share; with every block a singleton only the identity is left, 2/n!. The
+    swap and circle tests give the number of cyclic shifts that fix the
+    block labels, ``fixed_shifts``, over n.
     """
     if inst.partition is None:
         raise ValueError("exact probability needs a promise-structured instance")
     n = inst.n
     _check_kind_n(kind, n)
-    if kind in (TestKind.SWAP, TestKind.CIRCLE):
-        labels = inst.partition.labels()
-        return Fraction(1, next(k for k in range(1, n + 1) if labels[k:] + labels[:k] == labels))
     sizes = [len(b) for b in inst.partition.blocks]
+    if kind in (TestKind.SWAP, TestKind.CIRCLE):
+        labels = np.array([inst.partition.labels()])
+        return Fraction(int(fixed_shifts(labels, gcd(*sizes))[0]), n)
     if kind is TestKind.ALTERNATION and max(sizes) == 1:
         return Fraction(2, factorial(n))
     return Fraction(prod(factorial(size) for size in sizes), factorial(n))
 
-
-class RepetitionSet(NamedTuple):
-    """Cyclic shifts that map the alignment onto itself."""
-
-    shifts: frozenset[int]
-    s: int
-    k: int
-
-
-def repetition_set(a: Alignment) -> RepetitionSet:
-    """Shifts preserving the alignment, their count s, and the cycle size n/s."""
-    if not 1 <= a.r <= a.n - 1:
-        raise ValueError("alignment must be a proper nonempty subset")
-    members = a.members
-    shifts = frozenset(
-        shift
-        for shift in range(a.n)
-        if {(i - 1 + shift) % a.n + 1 for i in members} == members
-    )
-    s = len(shifts)
-    return RepetitionSet(shifts, s, a.n // s)

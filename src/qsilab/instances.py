@@ -123,26 +123,6 @@ def verify_promise(inst: QsiInstance) -> Verdict:
     return Verdict.NO_INSTANCE if orthogonal.any() else Verdict.YES_INSTANCE
 
 
-@dataclass(frozen=True)
-class Alignment:
-    """Placement of the distinguished index set around the cycle 1..n."""
-
-    n: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        members = frozenset(int(i) for i in self.members)
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not members <= set(range(1, self.n + 1)):
-            raise ValueError("members must be a subset of 1..n")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def r(self) -> int:
-        return len(self.members)
-
-
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary (QR of a complex Gaussian, phases fixed)."""
     rng = np.random.default_rng(seed)

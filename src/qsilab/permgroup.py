@@ -1,13 +1,17 @@
 """Partitions of {1..n}: the block structure of a promise instance.
 
 A block holds the indices of mutually equal states; states in different
-blocks are orthogonal.
+blocks are orthogonal. A partition is also written as a label row, the
+0-based block index of each element; ``fixed_shifts`` counts the cyclic
+shifts that fix each of a stack of label rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,3 +54,20 @@ class Partition:
             for i in b:
                 lab[i - 1] = idx
         return tuple(lab)
+
+
+def fixed_shifts(rows: np.ndarray, g: int) -> np.ndarray:
+    """Number of cyclic shifts that fix each row of a (k, n) label array.
+
+    The shifts fixing a row form a cyclic group whose order divides the gcd
+    of its block sizes. So for any divisor g of n that the order divides
+    (that gcd, or n itself) the count is the largest t | g for which the row
+    repeats with period n/t, and 1 when g = 1.
+    """
+    n = rows.shape[1]
+    fixed = np.ones(len(rows), dtype=int)
+    for t in range(2, g + 1):
+        if g % t == 0:
+            s = n // t
+            fixed[(rows[:, s:] == rows[:, :-s]).all(axis=1)] = t
+    return fixed

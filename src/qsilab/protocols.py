@@ -33,6 +33,7 @@ import numpy as np
 
 from .instances import PROMISE_ATOL, QsiInstance, Verdict, verify_promise
 from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, SRS_PATH_MAX_M, CapExceededError
+from .permgroup import fixed_shifts
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -214,10 +215,9 @@ def rcir_batch(labels: Sequence[int], rng: np.random.Generator, k: int) -> np.nd
 
     Each run permutes the label row uniformly. Under the promise the phases
     cancel around every cycle, so the shift test passes with the number of
-    cyclic shifts that fix the row, over n. They form a cyclic group whose
-    order divides g, the gcd of the block sizes, so that number is the
-    largest t | g for which the row repeats with period n/t (1 when g = 1).
-    The k rows take k*n bytes while there are at most 256 blocks.
+    cyclic shifts that fix the row, over n: ``fixed_shifts`` with g the gcd
+    of the block sizes. The k rows take k*n bytes while there are at most
+    256 blocks.
     Raises ValueError when n < 2, CapExceededError when n > RCIR_EXACT_MAX_N."""
     row = np.asarray(labels)
     n = len(row)
@@ -225,14 +225,9 @@ def rcir_batch(labels: Sequence[int], rng: np.random.Generator, k: int) -> np.nd
         raise ValueError(f"randomized circle needs at least 2 states, got {n}")
     if n > RCIR_EXACT_MAX_N:
         raise CapExceededError(f"randomized circle capped at n={RCIR_EXACT_MAX_N}, got {n}")
-    g = math.gcd(*np.bincount(row).tolist())
-    periods = [(t, n // t) for t in range(2, g + 1) if g % t == 0]
     rows = np.tile(row.astype(np.min_scalar_type(row.max())), (k, 1))
     rng.permuted(rows, axis=1, out=rows)
-    fixed = np.ones(k)
-    for t, s in periods:
-        fixed[(rows[:, s:] == rows[:, :-s]).all(axis=1)] = t
-    return rng.random(k) < fixed / n
+    return rng.random(k) < fixed_shifts(rows, math.gcd(*np.bincount(row).tolist())) / n
 
 
 def _totient(t: int) -> int:

@@ -10,7 +10,10 @@ per trial where ``srs_batch`` keeps one per pair path; the two draw the same
 random numbers, so their verdicts agree exactly. Likewise
 ``gram_rcir_batch`` multiplies Gram entries around every cyclic shift where
 ``rcir_batch`` compares integer label rows, on the same draws.
-``srs_canonical_trace`` evolves the sequential swap state with integer
+``repetition_set`` collects the shifts that map an ``Alignment`` (a
+two-block placement around the cycle) onto itself one set at a time, where
+``qsilab.permgroup.fixed_shifts`` compares label rows at the divisors of a
+gcd. ``srs_canonical_trace`` evolves the sequential swap state with integer
 amplitudes over block labels, where ``qsilab.protocols`` runs one float
 kernel, and ``loop_promise_error`` checks the promise one ``inner`` product
 at a time, where ``QsiInstance`` compares the Gram matrix once. The
@@ -40,7 +43,6 @@ from qsilab.identity_tests import (
 )
 from qsilab.instances import (
     PROMISE_ATOL,
-    Alignment,
     QsiInstance,
     Verdict,
     build_instance,
@@ -273,6 +275,48 @@ def loop_promise_error(states: Sequence[PureState], part: Partition) -> str | No
 def pure_density(state: PureState) -> DensityMatrix:
     """Rank-one density matrix |s><s|."""
     return DensityMatrix(np.outer(state.amps, state.amps.conj()))
+
+
+@dataclass(frozen=True)
+class Alignment:
+    """Placement of the distinguished index set around the cycle 1..n."""
+
+    n: int
+    members: frozenset[int]
+
+    def __post_init__(self) -> None:
+        members = frozenset(int(i) for i in self.members)
+        if self.n < 1:
+            raise ValueError("n must be positive")
+        if not members <= set(range(1, self.n + 1)):
+            raise ValueError("members must be a subset of 1..n")
+        object.__setattr__(self, "members", members)
+
+    @property
+    def r(self) -> int:
+        return len(self.members)
+
+
+class RepetitionSet(NamedTuple):
+    """Cyclic shifts that map the alignment onto itself."""
+
+    shifts: frozenset[int]
+    s: int
+    k: int
+
+
+def repetition_set(a: Alignment) -> RepetitionSet:
+    """Shifts preserving the alignment, their count s, and the cycle size n/s."""
+    if not 1 <= a.r <= a.n - 1:
+        raise ValueError("alignment must be a proper nonempty subset")
+    members = a.members
+    shifts = frozenset(
+        shift
+        for shift in range(a.n)
+        if {(i - 1 + shift) % a.n + 1 for i in members} == members
+    )
+    s = len(shifts)
+    return RepetitionSet(shifts, s, a.n // s)
 
 
 def alignment_from_pattern(pattern: Sequence[int], s: int) -> Alignment:

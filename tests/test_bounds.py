@@ -10,13 +10,13 @@ from qsilab.bounds import (
     CASE_FULL_R,
     CASE_HALF_R,
     CASE_SMALL_S,
-    RationalBound,
     basel_asymptote,
     eq2_bound,
     inverse_square_tail_bracket,
     ps_lower_bound,
     q_bound_case,
     q_bound_check,
+    q_case_bound,
     q_value,
     two_block_soundness,
     two_sided_gap_check,
@@ -34,14 +34,15 @@ from qsilab.qmath import tensor
 
 class TestTwoBlockSoundness:
     def test_examples(self):
-        assert two_block_soundness(3, 2).value == Fraction(1, 3)
-        assert two_block_soundness(6, 3).value == Fraction(1, 20)
+        assert two_block_soundness(3, 2) == Fraction(1, 3)
+        assert two_block_soundness(6, 3) == Fraction(1, 20)
         for n in range(2, 10):
-            assert two_block_soundness(n, 1).value == Fraction(1, n)
+            assert two_block_soundness(n, 1) == Fraction(1, n)
 
     def test_float_view_consistent(self):
-        rb = two_block_soundness(8, 3)
-        assert rb.float_view == pytest.approx(float(rb.value), rel=1e-12)
+        value = two_block_soundness(8, 3)
+        assert type(value) is Fraction
+        assert float(value) == pytest.approx(6 * 120 / 40320, rel=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_exact_group_probability(self, n):
@@ -49,13 +50,13 @@ class TestTwoBlockSoundness:
             inst = two_block(n, l)
             assert (
                 equal_prob_rational(TestKind.PERMUTATION, inst)
-                == two_block_soundness(n, l).value
+                == two_block_soundness(n, l)
             )
 
     def test_never_exceeds_one_over_n(self):
         for n in range(2, 41):
             for l in range(1, n):
-                assert two_block_soundness(n, l).value <= Fraction(1, n)
+                assert two_block_soundness(n, l) <= Fraction(1, n)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -66,10 +67,10 @@ class TestTwoBlockSoundness:
 
 class TestQValue:
     def test_examples(self):
-        assert q_value(12, 6, 3).value == Fraction(1, 616)
-        assert q_value(4, 2, 2).value == Fraction(1, 6)
+        assert q_value(12, 6, 3) == Fraction(1, 616)
+        assert q_value(4, 2, 2) == Fraction(1, 6)
         for n, r in [(6, 3), (10, 4), (9, 3)]:
-            assert q_value(n, r, 1).value == Fraction(1, n)
+            assert q_value(n, r, 1) == Fraction(1, n)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -82,7 +83,7 @@ class TestQValue:
             q_value(12, 7, 1)
 
     def test_n_cap(self):
-        assert q_value(RCIR_EXACT_MAX_N, 1, 1).value == Fraction(1, RCIR_EXACT_MAX_N)
+        assert q_value(RCIR_EXACT_MAX_N, 1, 1) == Fraction(1, RCIR_EXACT_MAX_N)
         with pytest.raises(CapExceededError, match=f"n={RCIR_EXACT_MAX_N}"):
             q_value(RCIR_EXACT_MAX_N + 1, 1, 1)
 
@@ -122,22 +123,22 @@ class TestEq2Bound:
     def test_prime_is_one_over_n(self):
         for n in (5, 7, 11, 13):
             for r in range(1, n // 2 + 1):
-                assert eq2_bound(n, r).value == Fraction(1, n)
+                assert eq2_bound(n, r) == Fraction(1, n)
 
     def test_small_examples(self):
-        assert eq2_bound(4, 2).value == Fraction(1, 4) + Fraction(1, 6)
+        assert eq2_bound(4, 2) == Fraction(1, 4) + Fraction(1, 6)
         expected = (
             Fraction(1, 12)
-            + q_value(12, 6, 2).value
-            + q_value(12, 6, 3).value
-            + q_value(12, 6, 6).value
+            + q_value(12, 6, 2)
+            + q_value(12, 6, 3)
+            + q_value(12, 6, 6)
         )
-        assert eq2_bound(12, 6).value == expected
-        assert eq2_bound(12, 6).value == Fraction(71, 792)
+        assert eq2_bound(12, 6) == expected
+        assert eq2_bound(12, 6) == Fraction(71, 792)
 
     def test_n_cap(self):
         n = RCIR_EXACT_MAX_N
-        assert len(str(eq2_bound(n, n // 2).value.denominator)) <= 4300
+        assert len(str(eq2_bound(n, n // 2).denominator)) <= 4300
         with pytest.raises(CapExceededError, match=f"n={n}"):
             eq2_bound(n + 1, 1)
 
@@ -266,5 +267,8 @@ class TestTwoSidedGap:
 
 class TestRationalBound:
     def test_float_view(self):
-        rb = RationalBound.of(Fraction(5, 12))
-        assert rb.float_view == pytest.approx(5 / 12, rel=1e-12)
+        # every rational bound is a plain Fraction, its float view float(value)
+        for value in (two_block_soundness(8, 3), q_value(12, 6, 3), q_case_bound(12, 6, 3),
+                      q_case_bound(12, 6, 6), q_case_bound(12, 6, 2), eq2_bound(12, 6)):
+            assert type(value) is Fraction
+            assert float(value) == value.numerator / value.denominator

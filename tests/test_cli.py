@@ -369,6 +369,20 @@ class TestSweepCommand:
         assert rows and all(row["holds"] == "true" for row in rows)
         assert all(row["case"] != "uncovered" for row in rows)
 
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["perm-soundness", "--n-min", "5", "--n-max", "2"], "--n-min 5 --n-max 2"),
+            (["srs-vs-m", "--m-max", "0"], "--m-max 0"),
+            (["qbounds", "--n-max", "3"], "--n-min 2 --n-max 3"),
+        ],
+    )
+    def test_empty_grid_exits_2_naming_its_flags(self, capsys, argv, flags):
+        code, out, err = run_cli(capsys, "sweep", *argv, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sweep {argv[0]} has no rows for {flags}\n"
+
 
 class TestBoundsCommand:
     def test_two_block(self, capsys):

@@ -17,7 +17,9 @@ from oracles import (
     enumerate_alt,
     enumerate_sym,
     group_sum_formula,
+    Alignment,
     instance_from_alignment,
+    repetition_set,
     set_partitions,
     shift_count_rational,
     stabilizer_count,
@@ -28,11 +30,9 @@ from qsilab.identity_tests import (
     equal_prob_formula,
     equal_prob_rational,
     permanent,
-    repetition_set,
     run_circuit,
 )
 from qsilab.instances import (
-    Alignment,
     QsiInstance,
     build_instance,
     haar_unitary,

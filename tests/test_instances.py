@@ -5,13 +5,13 @@ import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
 from oracles import (
+    Alignment,
     alignment_from_pattern,
     instance_from_alignment,
     loop_promise_error,
     partition_from_alignment,
 )
 from qsilab.instances import (
-    Alignment,
     QsiInstance,
     Verdict,
     build_instance,

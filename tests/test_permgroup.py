@@ -7,18 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Alignment,
     Permutation,
     cycle_power,
     enumerate_alt,
     enumerate_sym,
     perm_table,
+    repetition_set,
     setwise_stabilizes,
+    shift_count_rational,
     sign,
     sign_table,
     stabilizer_count,
 )
 from qsilab.limits import CapExceededError
-from qsilab.permgroup import Partition
+from qsilab.permgroup import Partition, fixed_shifts
 
 
 class TestPermutation:
@@ -148,6 +151,27 @@ class TestPartition:
     def test_labels(self):
         part = Partition.of([[1, 3], [2]])
         assert part.labels() == (0, 1, 0)
+
+
+class TestFixedShifts:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_two_block_rows_match_repetition_set(self, n):
+        rows = np.arange(1, (1 << n) - 1)[:, None] >> np.arange(n) & 1
+        want = [repetition_set(Alignment(n, frozenset(np.flatnonzero(row) + 1))).s for row in rows]
+        assert fixed_shifts(rows, n).tolist() == want
+
+    @pytest.mark.parametrize("blocks", [3, 4])
+    def test_many_block_rows_match_all_shift_count(self, blocks):
+        rng = np.random.default_rng(blocks)
+        rows = [np.tile(np.arange(blocks), 24 // blocks)]  # (0,1,2)*8 and (0,1,2,3)*6
+        for _ in range(200):
+            base = rng.permutation(np.resize(np.arange(blocks), int(rng.integers(blocks, 9))))
+            rows.append(np.tile(base, int(rng.integers(1, 5))))
+            rows.append(rng.integers(blocks, size=int(rng.integers(2, 25))))
+        for row in rows:
+            g = math.gcd(*np.bincount(row).tolist())
+            want = shift_count_rational(tuple(row.tolist())) * len(row)
+            assert fixed_shifts(row[None], g)[0] == want, row
 
 
 class TestSetwiseStabilizes:

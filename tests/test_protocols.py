@@ -8,6 +8,7 @@ import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
 from oracles import (
+    Alignment,
     arrangement_rcir,
     chain_srs_exact,
     circle_equal_probs,
@@ -15,6 +16,7 @@ from oracles import (
     per_trial_srs_batch,
     permuted_instance,
     rcir_sample,
+    repetition_set,
     srs_canonical_trace,
     srs_sample,
     worst_merge_rcir,
@@ -569,14 +571,8 @@ def _phased_states(inst: QsiInstance, seed: int) -> QsiInstance:
 
 def brute_rcir(n: int, r: int) -> Fraction:
     """Alignment-by-alignment oracle using explicit shift checks."""
-    total = 0
-    for combo in combinations(range(1, n + 1), r):
-        members = frozenset(combo)
-        total += sum(
-            1
-            for shift in range(n)
-            if {(i - 1 + shift) % n + 1 for i in members} == members
-        )
+    total = sum(repetition_set(Alignment(n, frozenset(c))).s
+                for c in combinations(range(1, n + 1), r))
     return Fraction(total, math.comb(n, r) * n)
 
 
@@ -642,7 +638,7 @@ class TestRcirExact:
     def test_bounded_by_divisor_sum(self):
         for n in range(2, 13):
             for r in range(1, n // 2 + 1):
-                assert rcir_exact(n, r) <= eq2_bound(n, r).value
+                assert rcir_exact(n, r) <= eq2_bound(n, r)
 
     def test_large_n_beyond_mask_table(self):
         # n=26 is beyond a practical 2^n bitmask table, so the orbit count checks it
