@@ -7,7 +7,6 @@ against each other.
 """
 
 from .bounds import (
-    BaselAsymptote,
     GapReport,
     basel_asymptote,
     eq2_bound,
@@ -52,14 +51,6 @@ from .protocols import (
     srs_exact,
     wilson_interval,
 )
-from .qmath import (
-    DensityMatrix,
-    JointState,
-    PureState,
-    basis_state,
-    mixture,
-    tensor,
-    trace_distance,
-)
+from .qmath import PureState, basis_state
 
 __version__ = "0.1.0"

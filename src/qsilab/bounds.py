@@ -10,15 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+
+import numpy as np
 
 from .identity_tests import TestKind, permanent, run_circuit
 from .instances import QsiInstance
 from .limits import RCIR_EXACT_MAX_N, SYM_ENUM_MAX_N, CapExceededError
-from .qmath import PureState, basis_state, mixture, tensor, trace_distance
+from .qmath import PureState, basis_state
 
 #: Largest n for the factorial-ratio bounds.
 TWO_BLOCK_MAX_N = 40
+
+#: Tolerance of the two-sided gap check on the trace distance and error sum.
+GAP_ATOL = 1e-10
 
 #: Case labels for the per-divisor alignment-probability bound.
 CASE_SMALL_S = "s<=r/3"
@@ -28,15 +32,13 @@ CASE_UNCOVERED = "uncovered"
 
 
 def two_block_soundness(n: int, l: int) -> Fraction:
-    """Stabilizer ratio l!(n-l)!/n! for a two-block split; always <= 1/n."""
+    """Stabilizer ratio l!(n-l)!/n! for a two-block split; always <= 1/n,
+    since it is 1/C(n, l) and C(n, l) >= n for 1 <= l <= n-1."""
     if not 2 <= n <= TWO_BLOCK_MAX_N:
         raise ValueError(f"n must be within 2..{TWO_BLOCK_MAX_N}, got {n}")
     if not 1 <= l <= n - 1:
         raise ValueError(f"l must be within 1..n-1, got {l}")
-    value = Fraction(math.factorial(l) * math.factorial(n - l), math.factorial(n))
-    if value > Fraction(1, n):
-        raise ArithmeticError(f"two-block ratio {value} exceeds 1/{n}")
-    return value
+    return Fraction(math.factorial(l) * math.factorial(n - l), math.factorial(n))
 
 
 def q_value(n: int, r: int, s: int) -> Fraction:
@@ -107,16 +109,11 @@ def eq2_bound(n: int, r: int) -> Fraction:
     return total
 
 
-class BaselAsymptote(NamedTuple):
-    value: float  # pi^2 / (6 n)
-    loose: float  # 1.7 / n
-
-
-def basel_asymptote(n: int) -> BaselAsymptote:
-    """Leading asymptotic pi^2/(6n) with the looser 1.7/n companion."""
+def basel_asymptote(n: int) -> float:
+    """Leading asymptotic pi^2/(6n) of the randomized circle soundness bound."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return BaselAsymptote(math.pi**2 / (6 * n), 1.7 / n)
+    return math.pi**2 / (6 * n)
 
 
 def inverse_square_tail_bracket(s_max: int) -> tuple[float, float]:
@@ -156,7 +153,17 @@ class GapReport:
     achieves_lower_bound: bool
 
 
-def two_sided_gap_check(atol: float = 1e-10) -> GapReport:
+def _pair_ensemble(pairs: tuple[tuple[PureState, PureState], ...]) -> np.ndarray:
+    """Density matrix of the product states a (x) b of the given pairs, each
+    with weight 1/2."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for a, b in pairs:
+        ab = np.kron(a.amps, b.amps)
+        rho += 0.5 * np.outer(ab, ab.conj())
+    return rho
+
+
+def two_sided_gap_check() -> GapReport:
     """Check that the swap test saturates the trace-distance error bound.
 
     Mixes the two equal qubit pairs against the two orthogonal hadamard-basis
@@ -168,9 +175,9 @@ def two_sided_gap_check(atol: float = 1e-10) -> GapReport:
     plus = PureState.from_unnormalized([1, 1])
     minus = PureState.from_unnormalized([1, -1])
 
-    rho_equal = mixture([(0.5, tensor([zero, zero])), (0.5, tensor([one, one]))])
-    rho_orth = mixture([(0.5, tensor([plus, minus])), (0.5, tensor([minus, plus]))])
-    dist = trace_distance(rho_equal, rho_orth)
+    rho_equal = _pair_ensemble(((zero, zero), (one, one)))
+    rho_orth = _pair_ensemble(((plus, minus), (minus, plus)))
+    dist = float(0.5 * np.abs(np.linalg.eigvalsh(rho_equal - rho_orth)).sum())
 
     completeness = max(
         1.0 - run_circuit(TestKind.SWAP, QsiInstance((zero, zero))).p_equal,
@@ -181,5 +188,5 @@ def two_sided_gap_check(atol: float = 1e-10) -> GapReport:
         run_circuit(TestKind.SWAP, QsiInstance((minus, plus))).p_equal,
     )
     error_sum = completeness + soundness
-    achieves = abs(dist - 0.5) <= atol and abs(error_sum - 0.5) <= atol
+    achieves = abs(dist - 0.5) <= GAP_ATOL and abs(error_sum - 0.5) <= GAP_ATOL
     return GapReport(dist, completeness, soundness, error_sum, achieves)

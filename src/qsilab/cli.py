@@ -319,9 +319,8 @@ def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
         row = {"bound": which, "n": args.n, "r": args.r,
                "value_rational": _rat(value), "value_float": float(value)}
     elif which == "basel":
-        asym = basel_asymptote(args.n)
         row = {"bound": which, "n": args.n,
-               "pi2_over_6n": asym.value, "loose_1_7_over_n": asym.loose}
+               "pi2_over_6n": basel_asymptote(args.n), "loose_1_7_over_n": 1.7 / args.n}
     else:  # gap
         report = two_sided_gap_check()
         row = {"bound": which,

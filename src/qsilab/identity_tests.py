@@ -33,7 +33,7 @@ import numpy as np
 from .instances import QsiInstance
 from .limits import CIRCLE_FORMULA_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
 from .permgroup import fixed_shifts
-from .qmath import MEASURE_EPS, JointState
+from .qmath import MEASURE_EPS
 
 #: Imaginary parts of the Gram-matrix formula above this are a bug.
 FORMULA_IMAG_ATOL = 1e-10
@@ -51,12 +51,14 @@ class TestKind(Enum):
 class TestResult:
     """EQUAL branch of one circuit simulation.
 
-    p_equal is the probability of control outcome 0; post_equal holds the
-    renormalized content registers after that outcome (None if unreachable).
+    equal holds the content registers' amplitudes on control outcome 0, one
+    axis of length d per register, not renormalized. p_equal is its squared
+    norm, the probability of that outcome, reported as 0 below MEASURE_EPS;
+    otherwise equal / sqrt(p_equal) is the post-measurement state.
     """
 
     p_equal: float
-    post_equal: JointState | None
+    equal: np.ndarray
 
 
 def _check_kind_n(kind: TestKind, n: int) -> None:
@@ -138,9 +140,7 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
             equal += content.transpose(row)
         equal /= n
     p_equal = float(np.vdot(equal, equal).real)
-    if p_equal < MEASURE_EPS:
-        return TestResult(0.0, None)
-    return TestResult(p_equal, JointState((d,) * n, equal / np.sqrt(p_equal)))
+    return TestResult(p_equal if p_equal >= MEASURE_EPS else 0.0, equal)
 
 
 def permanent(a: np.ndarray) -> complex:

@@ -110,17 +110,25 @@ def build_instance(
     return QsiInstance(tuple(states), partition)
 
 
+def equal_pairs(inst: QsiInstance) -> np.ndarray | None:
+    """Mask of the state pairs whose inner product has modulus 1, the diagonal
+    included, or None when some modulus is neither 0 nor 1: the promise
+    check from the states alone, on one Gram matrix."""
+    mod = np.abs(inst.gram())
+    np.fill_diagonal(mod, 1.0)
+    equal = np.abs(mod - 1.0) <= PROMISE_ATOL
+    return equal if (equal | (mod <= PROMISE_ATOL)).all() else None
+
+
 def verify_promise(inst: QsiInstance) -> Verdict:
     """Classify the states: all equal, equal-or-orthogonal, or promise-breaking.
 
     Works from the states alone; the partition field is not consulted.
     """
-    mod = np.abs(inst.gram())
-    np.fill_diagonal(mod, 1.0)
-    orthogonal = mod <= PROMISE_ATOL
-    if not (orthogonal | (np.abs(mod - 1.0) <= PROMISE_ATOL)).all():
+    equal = equal_pairs(inst)
+    if equal is None:
         return Verdict.VIOLATED
-    return Verdict.NO_INSTANCE if orthogonal.any() else Verdict.YES_INSTANCE
+    return Verdict.YES_INSTANCE if equal.all() else Verdict.NO_INSTANCE
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

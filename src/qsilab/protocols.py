@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .instances import PROMISE_ATOL, QsiInstance, Verdict, verify_promise
+from .instances import QsiInstance, equal_pairs
 from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, SRS_PATH_MAX_M, CapExceededError
 from .permgroup import fixed_shifts
 
@@ -79,11 +79,6 @@ def _require_three(inst: QsiInstance) -> None:
         raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
 
 
-def _require_promise(inst: QsiInstance) -> None:
-    if verify_promise(inst) is Verdict.VIOLATED:
-        raise ValueError("instance violates the equal-or-orthogonal promise")
-
-
 def srs_start(inst: QsiInstance) -> tuple[np.ndarray, np.ndarray]:
     """The sequential swap kernel's one-row table of the product state, and
     the 3 x r^3 flat indices that swap each pair of ``_PAIRS``.
@@ -94,7 +89,7 @@ def srs_start(inst: QsiInstance) -> tuple[np.ndarray, np.ndarray]:
     d is. Raises ValueError when the instance does not have exactly 3
     states, then when its states break the promise."""
     _require_three(inst)
-    _require_promise(inst)
+    promise_labels(inst)
     coords = np.linalg.qr(np.column_stack([s.amps for s in inst.states]), mode="r")
     r = len(coords)
     cube = np.arange(r**3).reshape(r, r, r)
@@ -201,12 +196,14 @@ def srs_exact(inst: QsiInstance, m: int) -> Fraction:
 
 def promise_labels(inst: QsiInstance) -> tuple[int, ...]:
     """Block label of each state: the partition's, checked by the constructor,
-    or after one promise check the unit-modulus Gram classes by first member."""
+    or the classes of ``equal_pairs`` numbered by first member, from one Gram
+    matrix. Raises ValueError when the states break the promise."""
     if inst.partition is not None:
         return inst.partition.labels()
-    _require_promise(inst)
-    first = (np.abs(np.abs(inst.gram()) - 1) <= PROMISE_ATOL).argmax(axis=0)
-    return tuple(np.unique(first, return_inverse=True)[1].tolist())
+    equal = equal_pairs(inst)
+    if equal is None:
+        raise ValueError("instance violates the equal-or-orthogonal promise")
+    return tuple(np.unique(equal.argmax(axis=0), return_inverse=True)[1].tolist())
 
 
 def rcir_batch(labels: Sequence[int], rng: np.random.Generator, k: int) -> np.ndarray:

@@ -347,7 +347,7 @@ def criterion_8() -> CriterionResult:
         "randomized circle soundness never exceeds its divisor-sum bound",
         problems,
         f"all n<={n_max} and r<=n/2 verified exactly; max n*soundness = {worst_ratio} "
-        f"({float(worst_ratio):.4f}) vs pi^2/6 = {n_max * basel_asymptote(n_max).value:.4f}; "
+        f"({float(worst_ratio):.4f}) vs pi^2/6 = {n_max * basel_asymptote(n_max):.4f}; "
         f"{checked} case bounds hold, {uncovered} uncovered; "
         f"inverse-square tail bracketed within {hi - lo:.2g}",
     )

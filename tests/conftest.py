@@ -24,6 +24,6 @@ def random_psd_density(dim: int, rng: np.random.Generator):
     """Random density matrix from a Gaussian square root."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
-    from qsilab.qmath import DensityMatrix
+    from oracles import DensityMatrix
 
     return DensityMatrix(m / np.trace(m).real)

@@ -20,7 +20,12 @@ at a time, where ``QsiInstance`` compares the Gram matrix once. The
 permutation objects, the symmetric-group table with its signs and stabilizer
 counts, the dense symmetric projector, the alignment builders,
 ``pure_density`` and ``inner`` are test-side helpers that the package itself
-does not need.
+does not need. So are the validated state objects: ``JointState`` (a
+normalized state over several registers, which ``measure_first_register``
+and ``dense_run_circuit`` return where ``run_circuit`` returns the raw EQUAL
+branch), ``tensor``, and ``DensityMatrix``, ``mixture`` and
+``trace_distance``, the general route to the one 4 x 4 trace distance that
+``qsilab.bounds.two_sided_gap_check`` computes directly.
 """
 
 from __future__ import annotations
@@ -51,9 +56,12 @@ from qsilab.instances import (
 from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
 from qsilab.permgroup import Partition
 from qsilab.protocols import rcir_exact
-from qsilab.qmath import MEASURE_EPS, DensityMatrix, JointState, PureState
+from qsilab.qmath import MEASURE_EPS, NORM_ATOL, PureState, _as_vector
 
 _FORMULA_CHUNK = 200_000
+
+#: Tolerance for Hermiticity / trace / positivity checks on density matrices.
+MATRIX_ATOL = 1e-10
 
 #: Dense symmetric-subspace projector: the matrix has (dim**n)**2 entries,
 #: so this keeps it near 256 MB of complex doubles.
@@ -65,6 +73,92 @@ _RCIR_CIRCUIT_MAX_N = 10
 
 
 GroupName = Literal["sym", "alt"]
+
+
+@dataclass(frozen=True, eq=False)
+class JointState:
+    """State vector over a list of registers (first register = control)."""
+
+    factor_dims: tuple[int, ...]
+    amps: np.ndarray
+
+    def __post_init__(self) -> None:
+        dims = tuple(int(d) for d in self.factor_dims)
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError("factor_dims must be positive integers")
+        arr = _as_vector(self.amps)
+        expected = int(np.prod(dims))
+        if arr.size != expected:
+            raise ValueError(f"amplitude length {arr.size} != product of dims {expected}")
+        norm = float(np.linalg.norm(arr))
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise ValueError(f"joint state has norm {norm:.12g}, expected 1")
+        arr.setflags(write=False)
+        object.__setattr__(self, "factor_dims", dims)
+        object.__setattr__(self, "amps", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.amps.size
+
+    def reshaped(self) -> np.ndarray:
+        """View of the amplitudes as one axis per register."""
+        return self.amps.reshape(self.factor_dims)
+
+
+def tensor(states: Sequence[PureState]) -> PureState:
+    """Kronecker product of the given states, in list order."""
+    if not states:
+        raise ValueError("empty tensor")
+    return PureState(reduce(np.kron, (s.amps for s in states)))
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """Hermitian, positive-semidefinite, trace-one matrix."""
+
+    entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.entries, dtype=complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {arr.shape}")
+        herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
+        if herm_defect > MATRIX_ATOL:
+            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
+        tr = complex(np.trace(arr))
+        if abs(tr - 1.0) > MATRIX_ATOL:
+            raise ValueError(f"trace is {tr:.12g}, expected 1")
+        lo = float(np.linalg.eigvalsh(arr).min())
+        if lo < -MATRIX_ATOL:
+            raise ValueError(f"matrix has negative eigenvalue {lo:.3g}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+def mixture(weighted: Sequence[tuple[float, PureState]]) -> DensityMatrix:
+    """Convex mixture sum_i w_i |s_i><s_i|; weights must sum to 1."""
+    if not weighted:
+        raise ValueError("empty mixture")
+    dim = weighted[0][1].dim
+    acc = np.zeros((dim, dim), dtype=complex)
+    for w, s in weighted:
+        if w < 0:
+            raise ValueError("mixture weights must be nonnegative")
+        acc += w * np.outer(s.amps, s.amps.conj())
+    return DensityMatrix(acc)
+
+
+def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
+    """Half the sum of absolute eigenvalues of the (Hermitian) difference."""
+    if r1.dim != r2.dim:
+        raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
+    eigs = np.linalg.eigvalsh(r1.entries - r2.entries)
+    return float(0.5 * np.abs(eigs).sum())
 
 
 def _check_enum_cap(n: int, minimum: int) -> None:
@@ -387,8 +481,9 @@ def measure_first_register(s: JointState) -> list[tuple[int, float, JointState]]
 class DenseCircuitResult:
     """Every control outcome of one dense circuit simulation.
 
-    p_equal and post_equal are the EQUAL branch, as in ``TestResult``;
-    outcome_distribution lists (outcome, probability) for every outcome at
+    p_equal is the EQUAL probability, as in ``TestResult``, and post_equal
+    the renormalized content registers after that outcome (None if
+    unreachable), ``TestResult.equal / sqrt(p_equal)``; outcome_distribution lists (outcome, probability) for every outcome at
     or above MEASURE_EPS.
     """
 

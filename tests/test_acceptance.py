@@ -1,12 +1,15 @@
 """Acceptance suite: one test per criterion, each printing its pass line.
 
 Criteria 1-9 run through the selftest module (the same code behind
-`qsilab selftest`); criterion 10 exercises the command itself plus the
-byte-identical-replay guarantee of sweeps.
+`qsilab selftest`); criterion 10 exercises the command itself, whose
+output must match `selftest_expected.txt` byte for byte, plus the
+byte-identical-replay guarantee of sweeps. A change that moves a reported
+value must edit that file.
 """
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +71,8 @@ def test_criterion_10_selftest_command_and_replay(tmp_path):
     lines = [l for l in proc.stdout.splitlines() if l.startswith("criterion")]
     assert len(lines) == 9
     assert all("PASS" in l for l in lines)
+    expected = (Path(__file__).parent / "selftest_expected.txt").read_text(encoding="utf-8")
+    assert proc.stdout == expected
 
     sweep_a = tmp_path / "a.csv"
     sweep_b = tmp_path / "b.csv"

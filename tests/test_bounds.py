@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import all_orthogonal, two_block, yes_instance
-from oracles import group_sum_formula, lex_ps_lower_bound, pure_density, symmetric_projector
+from oracles import (
+    group_sum_formula,
+    lex_ps_lower_bound,
+    mixture,
+    pure_density,
+    symmetric_projector,
+    tensor,
+    trace_distance,
+)
 from qsilab.bounds import (
     CASE_FULL_R,
     CASE_HALF_R,
@@ -29,7 +37,7 @@ from qsilab.instances import (
 )
 from qsilab.limits import RCIR_EXACT_MAX_N, CapExceededError
 from qsilab.permgroup import Partition
-from qsilab.qmath import tensor
+from qsilab.qmath import PureState, basis_state
 
 
 class TestTwoBlockSoundness:
@@ -149,12 +157,11 @@ class TestEq2Bound:
 
 class TestBasel:
     def test_point_value(self):
-        assert basel_asymptote(6).value == pytest.approx(math.pi**2 / 36)
-        assert basel_asymptote(6).value == pytest.approx(0.27416, abs=5e-6)
+        assert basel_asymptote(6) == pytest.approx(math.pi**2 / 36)
+        assert basel_asymptote(6) == pytest.approx(0.27416, abs=5e-6)
 
     def test_leading_constant_below_seventeen_tenths(self):
-        asym = basel_asymptote(10)
-        assert asym.value < asym.loose
+        assert basel_asymptote(10) < 1.7 / 10
         assert math.pi**2 / 6 < 1.7
 
     def test_tail_bracket(self):
@@ -187,8 +194,6 @@ class TestSymmetricProjector:
             assert np.allclose(proj, proj.conj().T, atol=1e-10)
 
     def test_fixes_product_powers(self):
-        from qsilab.qmath import PureState
-
         psi = PureState.from_unnormalized([1, 2j, -0.5])
         vec = tensor([psi, psi, psi]).amps
         proj = symmetric_projector(3, 3)
@@ -263,6 +268,14 @@ class TestTwoSidedGap:
         assert report.soundness_error == pytest.approx(0.5, abs=1e-12)
         assert report.error_sum == pytest.approx(0.5, abs=1e-10)
         assert report.achieves_lower_bound
+
+    def test_trace_distance_matches_density_oracle(self):
+        zero, one = basis_state(2, 0), basis_state(2, 1)
+        plus = PureState.from_unnormalized([1, 1])
+        minus = PureState.from_unnormalized([1, -1])
+        rho_equal = mixture([(0.5, tensor([zero, zero])), (0.5, tensor([one, one]))])
+        rho_orth = mixture([(0.5, tensor([plus, minus])), (0.5, tensor([minus, plus]))])
+        assert two_sided_gap_check().trace_dist == trace_distance(rho_equal, rho_orth)
 
 
 class TestRationalBound:

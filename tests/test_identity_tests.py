@@ -138,7 +138,8 @@ class TestRunCircuit:
         result = run_circuit(TestKind.SWAP, two_block(2, 1))
         want = np.zeros(4, dtype=complex)
         want[1] = want[2] = 1 / np.sqrt(2)
-        assert np.allclose(result.post_equal.amps, want)
+        assert result.equal.shape == (2, 2)
+        assert np.allclose(result.equal.reshape(-1) / np.sqrt(result.p_equal), want)
 
     def test_alternation_on_two_equal_one_orthogonal(self):
         from qsilab.qmath import PureState
@@ -270,8 +271,9 @@ class TestCircuitMatchesDenseOracle:
             inst = flavored_instance(flavor, n, seed=500 + 10 * n + dim, dim=dim)
             got, want = run_circuit(kind, inst), dense_run_circuit(kind, inst)
             assert abs(got.p_equal - want.p_equal) <= 1e-12
-            assert got.post_equal.factor_dims == want.post_equal.factor_dims
-            assert np.max(np.abs(got.post_equal.amps - want.post_equal.amps)) <= 1e-12
+            assert got.equal.shape == want.post_equal.factor_dims
+            post = got.equal.reshape(-1) / np.sqrt(got.p_equal)
+            assert np.max(np.abs(post - want.post_equal.amps)) <= 1e-12
 
 
 class TestFormulaMatchesGroupSum:

@@ -553,8 +553,31 @@ class TestPromiseLabels:
     def test_partition_labels(self, monkeypatch):
         # the constructor has checked the promise against the partition: no n x n Gram again
         inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
-        monkeypatch.setattr("qsilab.protocols.verify_promise", None)
+        monkeypatch.setattr(QsiInstance, "gram", None)
         assert promise_labels(inst) == (0, 1, 0, 1)
+
+    def test_gram_built_once(self, monkeypatch):
+        calls = []
+        gram = QsiInstance.gram
+
+        def counted(inst):
+            calls.append(inst.n)
+            return gram(inst)
+
+        part = Partition.of([[1, 3], [2]])
+        rotated = build_instance(part, dim=3, rotation=haar_unitary(3, seed=4))
+        states_only = QsiInstance(rotated.states)
+        plus = PureState.from_unnormalized([1, 1, 0])
+        broken = QsiInstance(rotated.states[:2] + (plus,))
+        monkeypatch.setattr(QsiInstance, "gram", counted)
+        assert promise_labels(states_only) == (0, 1, 0)
+        assert calls == [3]
+        with pytest.raises(ValueError, match="violates the equal-or-orthogonal promise"):
+            promise_labels(broken)
+        assert calls == [3, 3]
+        # the constructor checked the partition instance: sampling builds no Gram matrix
+        srs_batch(rotated, 4, np.random.default_rng(0), 64)
+        assert calls == [3, 3]
 
     def test_states_only_classes_numbered_by_first_member(self):
         rot = haar_unitary(3, seed=9)

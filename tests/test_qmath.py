@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd_density
-from oracles import dft, inner, measure_first_register, pure_density
-from qsilab.qmath import (
+from oracles import (
     DensityMatrix,
     JointState,
-    PureState,
-    basis_state,
+    dft,
+    inner,
+    measure_first_register,
     mixture,
+    pure_density,
     tensor,
     trace_distance,
 )
+from qsilab.qmath import PureState, basis_state
 
 PLUS = PureState.from_unnormalized([1, 1])
 MINUS = PureState.from_unnormalized([1, -1])
