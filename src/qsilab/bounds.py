@@ -16,7 +16,6 @@ import numpy as np
 from .identity_tests import TestKind, permanent, run_circuit
 from .instances import QsiInstance
 from .limits import RCIR_EXACT_MAX_N, SYM_ENUM_MAX_N, CapExceededError
-from .qmath import PureState, basis_state
 
 #: Largest n for the factorial-ratio bounds.
 TWO_BLOCK_MAX_N = 40
@@ -153,12 +152,12 @@ class GapReport:
     achieves_lower_bound: bool
 
 
-def _pair_ensemble(pairs: tuple[tuple[PureState, PureState], ...]) -> np.ndarray:
-    """Density matrix of the product states a (x) b of the given pairs, each
-    with weight 1/2."""
+def _pair_ensemble(pairs: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndarray:
+    """Density matrix of the product states a (x) b of the given qubit pairs,
+    each with weight 1/2."""
     rho = np.zeros((4, 4), dtype=complex)
     for a, b in pairs:
-        ab = np.kron(a.amps, b.amps)
+        ab = np.kron(a, b)
         rho += 0.5 * np.outer(ab, ab.conj())
     return rho
 
@@ -171,21 +170,20 @@ def two_sided_gap_check() -> GapReport:
     soundness error of at least 1/2 for any test, and the swap test attains
     (0, 1/2) exactly.
     """
-    zero, one = basis_state(2, 0), basis_state(2, 1)
-    plus = PureState.from_unnormalized([1, 1])
-    minus = PureState.from_unnormalized([1, -1])
+    zero, one = np.eye(2, dtype=complex)
+    plus, minus = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
     rho_equal = _pair_ensemble(((zero, zero), (one, one)))
     rho_orth = _pair_ensemble(((plus, minus), (minus, plus)))
     dist = float(0.5 * np.abs(np.linalg.eigvalsh(rho_equal - rho_orth)).sum())
 
     completeness = max(
-        1.0 - run_circuit(TestKind.SWAP, QsiInstance((zero, zero))).p_equal,
-        1.0 - run_circuit(TestKind.SWAP, QsiInstance((one, one))).p_equal,
+        1.0 - run_circuit(TestKind.SWAP, QsiInstance([zero, zero])).p_equal,
+        1.0 - run_circuit(TestKind.SWAP, QsiInstance([one, one])).p_equal,
     )
     soundness = max(
-        run_circuit(TestKind.SWAP, QsiInstance((plus, minus))).p_equal,
-        run_circuit(TestKind.SWAP, QsiInstance((minus, plus))).p_equal,
+        run_circuit(TestKind.SWAP, QsiInstance([plus, minus])).p_equal,
+        run_circuit(TestKind.SWAP, QsiInstance([minus, plus])).p_equal,
     )
     error_sum = completeness + soundness
     achieves = abs(dist - 0.5) <= GAP_ATOL and abs(error_sum - 0.5) <= GAP_ATOL

@@ -363,8 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"cycle length, at most {RCIR_EXACT_MAX_N} (rcir without a file)")
     p_proto.add_argument("--r", type=int, help="distinguished block size (rcir)")
     p_proto.add_argument("--m", type=int, default=2, help="rounds (srs)")
-    p_proto.add_argument("--policy", choices=["uniform", "canonical"],
-                         default="uniform", help="pair re-choice policy (srs exact)")
+    p_proto.add_argument("--policy", choices=["uniform", "canonical"], default="uniform",
+                         help="pair re-choice policy (srs --exact); only echoed in the "
+                              "policy column, since the exact value is the same under both")
     p_proto.add_argument("--exact", action="store_true", help="exact rational value")
     p_proto.add_argument("--trials", type=int, default=10_000)
     common(p_proto)

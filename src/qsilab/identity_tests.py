@@ -33,8 +33,9 @@ import numpy as np
 from .instances import QsiInstance
 from .limits import CIRCLE_FORMULA_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
 from .permgroup import fixed_shifts
-from .qmath import MEASURE_EPS
 
+#: EQUAL probabilities below this count as unreachable and are reported as 0.
+MEASURE_EPS = 1e-14
 #: Imaginary parts of the Gram-matrix formula above this are a bug.
 FORMULA_IMAG_ATOL = 1e-10
 
@@ -126,7 +127,7 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
         copies = (n * (n + 1) // 2 - 1) * (2 if kind is TestKind.ALTERNATION else 1)
     _circuit_cap(n, d, copies)
 
-    content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
+    content = reduce(np.kron, inst.states).reshape((d,) * n)
     if kind is TestKind.PERMUTATION:
         equal = _coset_mean(content, 1)
     elif kind is TestKind.ALTERNATION:

@@ -1,51 +1,55 @@
 """Instances of the n-state identity problem.
 
-An instance is a list of pure states whose pairwise inner products are
-promised to have modulus 0 or 1; the promise structure is carried by a
-partition of the index set (states share a block iff they are equal).
-Unstructured instances (arbitrary states, no partition) are allowed for the
-closed-form probability oracle but are rejected by the protocol runners.
+An instance is n pure states of a common dimension d, held as the rows of
+one read-only (n, d) complex array: the Gram matrix, the QR factorization of
+the sequential swap kernel and the circuit's product state all come from
+that matrix. The pairwise inner products are promised to have modulus 0 or
+1; the promise structure is carried by a partition of the index set (states
+share a block iff they are equal). Unstructured instances (arbitrary states,
+no partition) are allowed for the closed-form probability oracle but are
+rejected by the protocol runners.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .permgroup import Partition
-from .qmath import PureState, basis_state
 
+#: Construction-time tolerance on state norms.
+NORM_ATOL = 1e-9
 #: Tolerance on inner-product moduli when checking the promise.
 PROMISE_ATOL = 1e-9
 #: Tolerance when validating a rotation matrix.
 UNITARY_ATOL = 1e-9
 
 
-class Verdict(Enum):
-    YES_INSTANCE = "yes"
-    NO_INSTANCE = "no"
-    VIOLATED = "violated"
-
-
 @dataclass(frozen=True, eq=False)
 class QsiInstance:
-    """n pure states of a common dimension, optionally promise-structured."""
+    """n pure states of a common dimension d, the rows of a read-only (n, d)
+    complex array, optionally promise-structured."""
 
-    states: tuple[PureState, ...]
+    states: np.ndarray
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("instance needs at least one state")
-        dim = states[0].dim
-        if any(s.dim != dim for s in states):
-            raise ValueError("all states must share one dimension")
+        states = np.array(self.states, dtype=complex)
+        if states.ndim != 2 or states.size == 0:
+            raise ValueError(
+                f"states must be a non-empty (n, dim) array, got shape {states.shape}"
+            )
+        norms = np.linalg.norm(states, axis=1)
+        off = ~(np.abs(norms - 1.0) <= NORM_ATOL)  # NaN norms count as off
+        if off.any():
+            i = int(np.argmax(off))
+            raise ValueError(f"state {i + 1} has norm {norms[i]:.12g}, expected 1")
+        states.setflags(write=False)
         object.__setattr__(self, "states", states)
+        dim = states.shape[1]
         if self.partition is not None:
             part = self.partition
             if part.n != len(states):
@@ -74,12 +78,11 @@ class QsiInstance:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[1]
 
     def gram(self) -> np.ndarray:
         """Matrix of inner products G[i, j] = <state_i | state_j>."""
-        vecs = np.array([s.amps for s in self.states])
-        return vecs.conj() @ vecs.T
+        return self.states.conj() @ self.states.T
 
 
 def build_instance(
@@ -88,7 +91,8 @@ def build_instance(
     """Canonical instance for a partition: block i is embedded as basis state e_i.
 
     An optional unitary rotation is applied to every state, which changes the
-    basis but not the promise structure.
+    basis but not the promise structure: block i becomes column i of the
+    rotation.
     """
     if dim < partition.block_count:
         raise ValueError(
@@ -101,13 +105,8 @@ def build_instance(
         defect = float(np.max(np.abs(rotation.conj().T @ rotation - np.eye(dim))))
         if defect > UNITARY_ATOL:
             raise ValueError(f"rotation is not unitary (defect {defect:.3g})")
-    states = []
-    for label in partition.labels():
-        if rotation is None:
-            states.append(basis_state(dim, label))
-        else:
-            states.append(PureState(rotation[:, label]))
-    return QsiInstance(tuple(states), partition)
+    basis = np.eye(dim, dtype=complex) if rotation is None else rotation.T
+    return QsiInstance(basis[list(partition.labels())], partition)
 
 
 def equal_pairs(inst: QsiInstance) -> np.ndarray | None:
@@ -118,17 +117,6 @@ def equal_pairs(inst: QsiInstance) -> np.ndarray | None:
     np.fill_diagonal(mod, 1.0)
     equal = np.abs(mod - 1.0) <= PROMISE_ATOL
     return equal if (equal | (mod <= PROMISE_ATOL)).all() else None
-
-
-def verify_promise(inst: QsiInstance) -> Verdict:
-    """Classify the states: all equal, equal-or-orthogonal, or promise-breaking.
-
-    Works from the states alone; the partition field is not consulted.
-    """
-    equal = equal_pairs(inst)
-    if equal is None:
-        return Verdict.VIOLATED
-    return Verdict.YES_INSTANCE if equal.all() else Verdict.NO_INSTANCE
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -165,13 +153,15 @@ def random_structured_instance(
 
 
 def random_unstructured_instance(n: int, dim: int, seed: int) -> QsiInstance:
-    """Seeded random states with no promise structure (formula oracle only)."""
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        states.append(PureState.from_unnormalized(z))
-    return QsiInstance(tuple(states), None)
+    """Seeded random states with no promise structure (formula oracle only).
+
+    State i is z_i / |z_i| with z_i = x + iy for two standard normal draws of
+    length dim, taken state by state. Each row is scaled by its own norm: a
+    norm along axis 1 can differ from it in the last bit.
+    """
+    draws = np.random.default_rng(seed).standard_normal((n, 2, dim))
+    z = draws[:, 0] + 1j * draws[:, 1]
+    return QsiInstance(np.array([row / float(np.linalg.norm(row)) for row in z]), None)
 
 
 def instance_from_json(obj) -> QsiInstance:
@@ -191,21 +181,26 @@ def instance_from_json(obj) -> QsiInstance:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"instance JSON missing field: {exc}") from exc
     if "partition" in obj:
-        part = Partition(n, tuple(frozenset(int(i) for i in b) for b in obj["partition"]))
-        rotation = None
-        if obj.get("rotation_seed") is not None:
-            rotation = haar_unitary(dim, int(obj["rotation_seed"]))
-        return build_instance(part, dim, rotation)
+        try:
+            blocks = tuple(frozenset(int(i) for i in b) for b in obj["partition"])
+            seed = obj.get("rotation_seed")
+            seed = None if seed is None else int(seed)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed partition or rotation_seed: {exc}") from exc
+        rotation = None if seed is None else haar_unitary(dim, seed)
+        return build_instance(Partition(n, blocks), dim, rotation)
     if "states" in obj:
-        raw = obj["states"]
+        try:
+            raw = np.array(obj["states"], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"states are not numeric [re, im] pairs: {exc}") from exc
+        if raw.ndim != 3 or raw.shape[2] != 2:
+            raise ValueError(f"states must be lists of [re, im] pairs, got shape {raw.shape}")
         if len(raw) != n:
             raise ValueError(f"expected {n} states, got {len(raw)}")
-        states = []
-        for vec in raw:
-            if len(vec) != dim:
-                raise ValueError(f"state length {len(vec)} != dim {dim}")
-            states.append(PureState(np.array([complex(re, im) for re, im in vec])))
-        return QsiInstance(tuple(states), None)
+        if raw.shape[1] != dim:
+            raise ValueError(f"state length {raw.shape[1]} != dim {dim}")
+        return QsiInstance(raw.view(complex)[..., 0], None)
     raise ValueError("instance JSON needs either 'partition' or 'states'")
 
 

@@ -90,7 +90,7 @@ def srs_start(inst: QsiInstance) -> tuple[np.ndarray, np.ndarray]:
     states, then when its states break the promise."""
     _require_three(inst)
     promise_labels(inst)
-    coords = np.linalg.qr(np.column_stack([s.amps for s in inst.states]), mode="r")
+    coords = np.linalg.qr(inst.states.T, mode="r")
     r = len(coords)
     cube = np.arange(r**3).reshape(r, r, r)
     swaps = np.stack([cube.swapaxes(i - 1, j - 1).reshape(-1) for i, j in _PAIRS])

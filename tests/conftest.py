@@ -20,6 +20,17 @@ def all_orthogonal(n: int):
     return build_instance(Partition.of([[i] for i in range(1, n + 1)]), dim=n)
 
 
+def basis_state(dim: int, index: int) -> np.ndarray:
+    """Computational basis vector e_index."""
+    return np.eye(dim, dtype=complex)[index]
+
+
+def unit(amps) -> np.ndarray:
+    """The vector scaled to unit norm."""
+    arr = np.asarray(amps, dtype=complex)
+    return arr / np.linalg.norm(arr)
+
+
 def random_psd_density(dim: int, rng: np.random.Generator):
     """Random density matrix from a Gaussian square root."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

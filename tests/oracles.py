@@ -25,13 +25,20 @@ normalized state over several registers, which ``measure_first_register``
 and ``dense_run_circuit`` return where ``run_circuit`` returns the raw EQUAL
 branch), ``tensor``, and ``DensityMatrix``, ``mixture`` and
 ``trace_distance``, the general route to the one 4 x 4 trace distance that
-``qsilab.bounds.two_sided_gap_check`` computes directly.
+``qsilab.bounds.two_sided_gap_check`` computes directly. A single pure
+state here is a plain 1-D complex array, as a row of ``QsiInstance.states``
+is. ``verify_promise`` classifies an instance as all-equal, equal-or-
+orthogonal or promise-breaking from its states, where the package only needs
+``equal_pairs``; ``loop_unstructured_states`` and ``loop_rotated_states``
+build instance states one at a time, the way ``random_unstructured_instance``
+and ``build_instance`` are pinned to reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations as _lex_permutations
@@ -40,6 +47,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from qsilab.identity_tests import (
+    MEASURE_EPS,
     TestKind,
     _check_kind_n,
     _circuit_cap,
@@ -47,16 +55,15 @@ from qsilab.identity_tests import (
     run_circuit,
 )
 from qsilab.instances import (
+    NORM_ATOL,
     PROMISE_ATOL,
     QsiInstance,
-    Verdict,
     build_instance,
-    verify_promise,
+    equal_pairs,
 )
 from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
 from qsilab.permgroup import Partition
 from qsilab.protocols import rcir_exact
-from qsilab.qmath import MEASURE_EPS, NORM_ATOL, PureState, _as_vector
 
 _FORMULA_CHUNK = 200_000
 
@@ -75,6 +82,41 @@ _RCIR_CIRCUIT_MAX_N = 10
 GroupName = Literal["sym", "alt"]
 
 
+class Verdict(Enum):
+    YES_INSTANCE = "yes"
+    NO_INSTANCE = "no"
+    VIOLATED = "violated"
+
+
+def verify_promise(inst: QsiInstance) -> Verdict:
+    """Classify the states: all equal, equal-or-orthogonal, or promise-breaking.
+
+    Works from the states alone; the partition field is not consulted.
+    """
+    equal = equal_pairs(inst)
+    if equal is None:
+        return Verdict.VIOLATED
+    return Verdict.YES_INSTANCE if equal.all() else Verdict.NO_INSTANCE
+
+
+def loop_unstructured_states(n: int, dim: int, seed: int) -> np.ndarray:
+    """``random_unstructured_instance`` states drawn one state at a time: a
+    real and an imaginary ``standard_normal(dim)`` draw, then the division
+    by that vector's norm."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n):
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        states.append(z / float(np.linalg.norm(z)))
+    return np.array(states)
+
+
+def loop_rotated_states(part: Partition, rotation: np.ndarray) -> np.ndarray:
+    """Rotated ``build_instance`` states one column at a time: the state of
+    index i is the column of the rotation at i's block label."""
+    return np.array([rotation[:, label] for label in part.labels()])
+
+
 @dataclass(frozen=True, eq=False)
 class JointState:
     """State vector over a list of registers (first register = control)."""
@@ -86,7 +128,7 @@ class JointState:
         dims = tuple(int(d) for d in self.factor_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("factor_dims must be positive integers")
-        arr = _as_vector(self.amps)
+        arr = np.array(self.amps, dtype=complex).reshape(-1)
         expected = int(np.prod(dims))
         if arr.size != expected:
             raise ValueError(f"amplitude length {arr.size} != product of dims {expected}")
@@ -106,11 +148,11 @@ class JointState:
         return self.amps.reshape(self.factor_dims)
 
 
-def tensor(states: Sequence[PureState]) -> PureState:
-    """Kronecker product of the given states, in list order."""
-    if not states:
+def tensor(states: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of the given state vectors, in list order."""
+    if not len(states):
         raise ValueError("empty tensor")
-    return PureState(reduce(np.kron, (s.amps for s in states)))
+    return reduce(np.kron, states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,16 +182,16 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def mixture(weighted: Sequence[tuple[float, PureState]]) -> DensityMatrix:
+def mixture(weighted: Sequence[tuple[float, np.ndarray]]) -> DensityMatrix:
     """Convex mixture sum_i w_i |s_i><s_i|; weights must sum to 1."""
     if not weighted:
         raise ValueError("empty mixture")
-    dim = weighted[0][1].dim
+    dim = len(weighted[0][1])
     acc = np.zeros((dim, dim), dtype=complex)
     for w, s in weighted:
         if w < 0:
             raise ValueError("mixture weights must be nonnegative")
-        acc += w * np.outer(s.amps, s.amps.conj())
+        acc += w * np.outer(s, np.conj(s))
     return DensityMatrix(acc)
 
 
@@ -343,14 +385,14 @@ def symmetric_projector(dim: int, n: int) -> np.ndarray:
     return proj / math.factorial(n)
 
 
-def inner(a: PureState, b: PureState) -> complex:
+def inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Inner product, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return complex(np.vdot(a, b))
 
 
-def loop_promise_error(states: Sequence[PureState], part: Partition) -> str | None:
+def loop_promise_error(states: Sequence[np.ndarray], part: Partition) -> str | None:
     """The message of the first pair, in row-major order, whose inner-product
     modulus is off its promised value (1 within a block, 0 across), or None:
     one ``inner`` call per pair, where ``QsiInstance`` compares the Gram
@@ -366,9 +408,9 @@ def loop_promise_error(states: Sequence[PureState], part: Partition) -> str | No
     return None
 
 
-def pure_density(state: PureState) -> DensityMatrix:
+def pure_density(state: np.ndarray) -> DensityMatrix:
     """Rank-one density matrix |s><s|."""
-    return DensityMatrix(np.outer(state.amps, state.amps.conj()))
+    return DensityMatrix(np.outer(state, np.conj(state)))
 
 
 @dataclass(frozen=True)
@@ -500,7 +542,7 @@ def dense_run_circuit(kind: TestKind, inst: QsiInstance) -> DenseCircuitResult:
     size = len(group)
     _circuit_cap(n, d, size)  # the joint state holds all |G| permuted copies
 
-    content = reduce(np.kron, (s.amps for s in inst.states)).reshape((d,) * n)
+    content = reduce(np.kron, inst.states).reshape((d,) * n)
     joint = np.zeros((size,) + (d,) * n, dtype=complex)
     joint[0] = content
 
@@ -636,7 +678,7 @@ def srs_sample(inst: QsiInstance, m: int, rng: np.random.Generator) -> ProtocolO
     if verify_promise(inst) is Verdict.VIOLATED:
         raise ValueError("instance violates the equal-or-orthogonal promise")
     d = inst.dim
-    state = reduce(np.kron, (s.amps for s in inst.states))
+    state = reduce(np.kron, inst.states)
     pair = ((1, 2), (1, 3), (2, 3))[int(rng.integers(3))]
     transcript: list[tuple[tuple[int, int], int]] = []
     for round_no in range(1, m + 1):
@@ -745,7 +787,7 @@ def per_trial_srs_batch(
         raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
     if verify_promise(inst) is Verdict.VIOLATED:
         raise ValueError("instance violates the equal-or-orthogonal promise")
-    coords = np.linalg.qr(np.column_stack([s.amps for s in inst.states]), mode="r")
+    coords = np.linalg.qr(inst.states.T, mode="r")
     r = len(coords)
     cube = np.arange(r**3).reshape(r, r, r)
     pairs = ((1, 2), (1, 3), (2, 3))
@@ -766,7 +808,7 @@ def per_trial_srs_batch(
 
 def permuted_instance(inst: QsiInstance, tau: np.ndarray) -> QsiInstance:
     """Relabel states so position j holds the state formerly at tau[j]."""
-    states = tuple(inst.states[int(t)] for t in tau)
+    states = inst.states[np.asarray(tau, dtype=np.intp)]
     partition = None
     if inst.partition is not None:
         old_labels = inst.partition.labels()

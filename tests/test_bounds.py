@@ -37,7 +37,6 @@ from qsilab.instances import (
 )
 from qsilab.limits import RCIR_EXACT_MAX_N, CapExceededError
 from qsilab.permgroup import Partition
-from qsilab.qmath import PureState, basis_state
 
 
 class TestTwoBlockSoundness:
@@ -194,8 +193,8 @@ class TestSymmetricProjector:
             assert np.allclose(proj, proj.conj().T, atol=1e-10)
 
     def test_fixes_product_powers(self):
-        psi = PureState.from_unnormalized([1, 2j, -0.5])
-        vec = tensor([psi, psi, psi]).amps
+        psi = np.array([1, 2j, -0.5]) / np.linalg.norm([1, 2j, -0.5])
+        vec = tensor([psi, psi, psi])
         proj = symmetric_projector(3, 3)
         assert np.allclose(proj @ vec, vec, atol=1e-10)
 
@@ -270,9 +269,8 @@ class TestTwoSidedGap:
         assert report.achieves_lower_bound
 
     def test_trace_distance_matches_density_oracle(self):
-        zero, one = basis_state(2, 0), basis_state(2, 1)
-        plus = PureState.from_unnormalized([1, 1])
-        minus = PureState.from_unnormalized([1, -1])
+        zero, one = np.eye(2, dtype=complex)
+        plus, minus = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         rho_equal = mixture([(0.5, tensor([zero, zero])), (0.5, tensor([one, one]))])
         rho_orth = mixture([(0.5, tensor([plus, minus])), (0.5, tensor([minus, plus]))])
         assert two_sided_gap_check().trace_dist == trace_distance(rho_equal, rho_orth)

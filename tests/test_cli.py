@@ -85,6 +85,23 @@ class TestTestCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("payload", [
+        {"n": 2, "dim": 2, "partition": 5},
+        {"n": 2, "dim": 2, "states": [[1, 0], [0, 1]]},
+        {"n": 2, "dim": 2, "states": [[["a", 0], [0, 0]], [[1, 0], [0, 0]]]},
+        {"n": 2, "dim": 2, "states": 5},
+    ])
+    def test_wrong_typed_fields_exit_2_without_traceback(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsilab.cli", "test", "--kind", "swap", "--instance", str(bad)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "cannot load instance" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "test", "--kind", "swap",
                              "--instance", str(tmp_path / "nope.json"))
@@ -468,6 +485,17 @@ class TestBoundsCommand:
 
 
 class TestMain:
+    def test_package_exports_what_the_benchmark_worker_reads(self, orth_pair):
+        # qsibench/worker.py calls these three through the package top level
+        import qsilab
+        from qsilab.bounds import ps_lower_bound
+        from qsilab.instances import load_instance
+
+        assert qsilab.load_instance is load_instance
+        assert qsilab.ps_lower_bound is ps_lower_bound
+        assert qsilab.__version__ == "0.1.0"
+        assert qsilab.ps_lower_bound(qsilab.load_instance(orth_pair)) == 0.5
+
     @pytest.mark.parametrize(
         "argv",
         [

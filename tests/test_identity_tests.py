@@ -142,11 +142,7 @@ class TestRunCircuit:
         assert np.allclose(result.equal.reshape(-1) / np.sqrt(result.p_equal), want)
 
     def test_alternation_on_two_equal_one_orthogonal(self):
-        from qsilab.qmath import PureState
-
-        a = PureState(np.array([1, 0], dtype=complex))
-        b = PureState(np.array([0, 1], dtype=complex))
-        res = run_circuit(TestKind.ALTERNATION, QsiInstance((a, b, b)))
+        res = run_circuit(TestKind.ALTERNATION, QsiInstance([[1, 0], [0, 1], [0, 1]]))
         assert res.p_equal == pytest.approx(1 / 3, abs=1e-12)
 
     def test_works_on_unstructured_states(self):

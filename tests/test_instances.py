@@ -3,40 +3,61 @@ import json
 import numpy as np
 import pytest
 
-from conftest import all_orthogonal, two_block, yes_instance
+from conftest import all_orthogonal, basis_state, two_block, unit, yes_instance
 from oracles import (
     Alignment,
+    Verdict,
     alignment_from_pattern,
     instance_from_alignment,
     loop_promise_error,
+    loop_rotated_states,
+    loop_unstructured_states,
     partition_from_alignment,
+    verify_promise,
 )
 from qsilab.instances import (
     QsiInstance,
-    Verdict,
     build_instance,
     haar_unitary,
     instance_from_json,
     load_instance,
     random_structured_instance,
     random_unstructured_instance,
-    verify_promise,
 )
 from qsilab.permgroup import Partition
-from qsilab.qmath import PureState, basis_state
+
+
+def selftest_unstructured_cases():
+    """(n, dim, seed) of the unstructured instances of selftest criteria 2
+    (every third group of four cases) and 4 (the dominance pool)."""
+    for i in range(216):
+        if (i // 4) % 3 == 2:
+            n = (2, 2 + i % 5, 2 + i % 4, 2 + i % 4)[i % 4]
+            yield n, 2 + i % 2, 90_000 + i
+    for n in range(3, 9):
+        for dim in (2, 3, 4):
+            for s in range(5):
+                yield n, dim, 7_800 + 100 * n + 10 * dim + s
+
+
+def assert_matches_per_state_construction(n: int, dim: int, seed: int) -> None:
+    got = random_unstructured_instance(n, dim, seed).states
+    assert np.array_equal(got, loop_unstructured_states(n, dim, seed))
+    part = random_structured_instance(n, seed, max_blocks=3).partition
+    rotation = haar_unitary(max(dim, part.block_count), seed)
+    got = build_instance(part, len(rotation), rotation).states
+    assert np.array_equal(got, loop_rotated_states(part, rotation))
 
 
 class TestBuildInstance:
     def test_single_block_dim_one(self):
         inst = build_instance(Partition.of([[1, 2, 3]]), dim=1)
-        assert all(np.array_equal(s.amps, [1.0]) for s in inst.states)
+        assert np.array_equal(inst.states, np.ones((3, 1)))
         assert verify_promise(inst) is Verdict.YES_INSTANCE
 
     def test_canonical_embedding(self):
         inst = build_instance(Partition.of([[1, 2], [3]]), dim=2)
-        assert np.array_equal(inst.states[0].amps, basis_state(2, 0).amps)
-        assert np.array_equal(inst.states[1].amps, basis_state(2, 0).amps)
-        assert np.array_equal(inst.states[2].amps, basis_state(2, 1).amps)
+        assert np.array_equal(inst.states, [[1, 0], [1, 0], [0, 1]])
 
     def test_three_singletons_mutually_orthogonal(self):
         inst = build_instance(Partition.of([[1], [2], [3]]), dim=3)
@@ -62,6 +83,27 @@ class TestBuildInstance:
 
 
 class TestQsiInstance:
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="state 2 has norm 1.41421356237"):
+            QsiInstance([[1.0, 0.0], [1.0, 1.0]])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="state 1 has norm nan"):
+            QsiInstance([[np.nan, 0.0]])
+
+    @pytest.mark.parametrize("states", [[], [[]], [1.0, 0.0], np.ones((1, 1, 1))])
+    def test_rejects_empty_or_not_a_matrix(self, states):
+        with pytest.raises(ValueError, match=r"non-empty \(n, dim\) array"):
+            QsiInstance(states)
+
+    def test_states_are_read_only_copy(self):
+        raw = np.eye(2, dtype=complex)
+        inst = QsiInstance(raw)
+        raw[0, 0] = 5.0
+        assert inst.states[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            inst.states[0, 0] = 5.0
+
     def test_partition_mismatch_rejected(self):
         states = (basis_state(2, 0), basis_state(2, 0))
         with pytest.raises(ValueError, match="promise violated"):
@@ -80,7 +122,7 @@ class TestQsiInstance:
             states = list(clean)
             for idx in rng.choice(part.n, size=rng.integers(1, 4), replace=False):
                 noise = rng.choice([1e-12, 1e-6, 0.1]) * rng.standard_normal(4)
-                states[idx] = PureState.from_unnormalized(states[idx].amps + noise)
+                states[idx] = unit(states[idx] + noise)
             want = loop_promise_error(states, part)
             if want is None:
                 QsiInstance(tuple(states), part)
@@ -92,7 +134,7 @@ class TestQsiInstance:
         assert len({m.split(":")[0] for m in messages}) >= 3
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="inhomogeneous"):
             QsiInstance((basis_state(2, 0), basis_state(3, 0)))
 
     def test_gram(self):
@@ -109,26 +151,26 @@ class TestVerifyPromise:
         assert verify_promise(QsiInstance(states)) is Verdict.NO_INSTANCE
 
     def test_violated(self):
-        plus = PureState.from_unnormalized([1, 1])
+        plus = unit([1, 1])
         assert verify_promise(QsiInstance((basis_state(2, 0), plus))) is Verdict.VIOLATED
 
     def test_single_state_is_yes(self):
         assert verify_promise(QsiInstance((basis_state(2, 1),))) is Verdict.YES_INSTANCE
 
     def test_violation_after_equal_and_orthogonal_pairs(self):
-        plus = PureState.from_unnormalized([1, 1, 0])
-        states = (basis_state(3, 0), basis_state(3, 2), PureState(1j * basis_state(3, 0).amps), plus)
+        plus = unit([1, 1, 0])
+        states = (basis_state(3, 0), basis_state(3, 2), 1j * basis_state(3, 0), plus)
         assert verify_promise(QsiInstance(states)) is Verdict.VIOLATED
 
     def test_tolerance(self):
-        near = PureState.from_unnormalized([1e-10, 1])
-        off = PureState.from_unnormalized([1e-8, 1])
+        near = unit([1e-10, 1])
+        off = unit([1e-8, 1])
         assert verify_promise(QsiInstance((basis_state(2, 0), near))) is Verdict.NO_INSTANCE
         assert verify_promise(QsiInstance((basis_state(2, 0), off))) is Verdict.VIOLATED
 
     def test_self_overlaps_not_checked(self):
-        # a norm within PureState's tolerance may put <i|i> past the promise tolerance
-        long = PureState(np.array([1 + 8e-10, 0], dtype=complex))
+        # a norm within NORM_ATOL may put <i|i> past the promise tolerance
+        long = np.array([1 + 8e-10, 0], dtype=complex)
         assert verify_promise(QsiInstance((long, basis_state(2, 1)))) is Verdict.NO_INSTANCE
         QsiInstance((long, basis_state(2, 1)), Partition.of([[1], [2]]))
 
@@ -183,7 +225,7 @@ class TestRandomInstances:
     def test_structured_deterministic_and_valid(self):
         a = random_structured_instance(5, seed=3, rotate=True)
         b = random_structured_instance(5, seed=3, rotate=True)
-        assert all(np.array_equal(x.amps, y.amps) for x, y in zip(a.states, b.states))
+        assert np.array_equal(a.states, b.states)
         assert verify_promise(a) is not Verdict.VIOLATED
 
     def test_max_blocks_respected(self):
@@ -194,7 +236,15 @@ class TestRandomInstances:
     def test_unstructured_deterministic(self):
         a = random_unstructured_instance(3, 2, seed=1)
         b = random_unstructured_instance(3, 2, seed=1)
-        assert all(np.array_equal(x.amps, y.amps) for x, y in zip(a.states, b.states))
+        assert np.array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("n,dim,seed", [(1, 1, 0), (1, 4, 1), (2, 2, 2), (5, 1, 3), (7, 6, 4)])
+    def test_states_match_per_state_construction(self, n, dim, seed):
+        assert_matches_per_state_construction(n, dim, seed)
+
+    def test_selftest_states_match_per_state_construction(self):
+        for n, dim, seed in selftest_unstructured_cases():
+            assert_matches_per_state_construction(n, dim, seed)
 
 
 class TestJsonFormat:
@@ -211,7 +261,7 @@ class TestJsonFormat:
         rotated = instance_from_json(
             {"n": 2, "dim": 2, "partition": [[1], [2]], "rotation_seed": 5}
         )
-        assert not np.allclose(plain.states[0].amps, rotated.states[0].amps)
+        assert not np.allclose(plain.states[0], rotated.states[0])
         assert np.allclose(np.abs(plain.gram()), np.abs(rotated.gram()), atol=1e-10)
 
     def test_unstructured_form(self):
@@ -225,17 +275,32 @@ class TestJsonFormat:
         assert verify_promise(inst) is Verdict.NO_INSTANCE
 
     @pytest.mark.parametrize(
-        "payload",
+        "payload,message",
         [
-            {"n": 2, "dim": 2},
-            {"n": 2, "dim": 2, "states": [[[1.0, 0.0], [0.0, 0.0]]]},
-            {"dim": 2, "partition": [[1]]},
-            [1, 2, 3],
+            ({"n": 2, "dim": 2}, "either 'partition' or 'states'"),
+            ({"n": 2, "dim": 2, "states": [[[1.0, 0.0], [0.0, 0.0]]]}, "expected 2 states, got 1"),
+            ({"dim": 2, "partition": [[1]]}, "missing field"),
+            ([1, 2, 3], "must be an object"),
+            ({"n": 2, "dim": 2, "states": [[[1, 0]], [[0, 1]]]}, "state length 1 != dim 2"),
+            ({"n": 2, "dim": 2, "states": [[1, 0], [0, 1]]}, r"pairs, got shape \(2, 2\)"),
+            ({"n": 2, "dim": 2, "states": 5}, r"pairs, got shape \(\)"),
+            ({"n": 2, "dim": 2, "states": [[["x", 0], [0, 0]], [[1, 0], [0, 0]]]}, "not numeric"),
+            ({"n": 2, "dim": 2, "states": [[[None, 0], [1, 0]], [[1, 0], [0, 0]]]},
+             "state 1 has norm nan"),
+            ({"n": 2, "dim": 2, "partition": 5}, "malformed partition"),
+            ({"n": 2, "dim": 2, "partition": [[1], [2]], "rotation_seed": [5]},
+             "malformed partition or rotation_seed"),
         ],
     )
-    def test_malformed_rejected(self, payload):
-        with pytest.raises(ValueError):
+    def test_malformed_rejected(self, payload, message):
+        with pytest.raises(ValueError, match=message):
             instance_from_json(payload)
+
+    def test_states_are_the_pairs_as_complex(self):
+        pairs = [[[0.6, -0.0], [0.0, 0.8]], [[-0.0, 1.0], [0.0, 0.0]]]
+        inst = instance_from_json({"n": 2, "dim": 2, "states": pairs})
+        want = [[complex(re, im) for re, im in row] for row in pairs]
+        assert inst.states.tobytes() == np.array(want).tobytes()
 
     def test_examples_verdicts(self):
         assert verify_promise(all_orthogonal(3)) is Verdict.NO_INSTANCE

@@ -36,7 +36,6 @@ from qsilab.limits import (
     CapExceededError,
 )
 from qsilab.permgroup import Partition
-from qsilab.qmath import PureState
 from qsilab.bounds import eq2_bound
 from qsilab.cli import main as cli_main
 from qsilab.protocols import (
@@ -434,7 +433,7 @@ class TestSrsBatch:
         # equal-up-to-phase states: the promise holds but no partition is stored
         rot = haar_unitary(4, seed=3)
         states = [rot[:, 0], 1j * rot[:, 0], rot[:, 2]]
-        inst = QsiInstance(tuple(PureState(s) for s in states))
+        inst = QsiInstance(states)
         m, trials = 2, 3000
         batched = mc_run(lambda rng, k: srs_batch(inst, m, rng, k), trials, base_seed=63)
         oracle = mc_run(
@@ -567,8 +566,8 @@ class TestPromiseLabels:
         part = Partition.of([[1, 3], [2]])
         rotated = build_instance(part, dim=3, rotation=haar_unitary(3, seed=4))
         states_only = QsiInstance(rotated.states)
-        plus = PureState.from_unnormalized([1, 1, 0])
-        broken = QsiInstance(rotated.states[:2] + (plus,))
+        plus = np.array([1, 1, 0]) / np.sqrt(2)
+        broken = QsiInstance([*rotated.states[:2], plus])
         monkeypatch.setattr(QsiInstance, "gram", counted)
         assert promise_labels(states_only) == (0, 1, 0)
         assert calls == [3]
@@ -582,14 +581,14 @@ class TestPromiseLabels:
     def test_states_only_classes_numbered_by_first_member(self):
         rot = haar_unitary(3, seed=9)
         states = [rot[:, 2], 1j * rot[:, 0], -rot[:, 2], rot[:, 1], np.exp(0.3j) * rot[:, 0]]
-        inst = QsiInstance(tuple(PureState(v) for v in states))
+        inst = QsiInstance(states)
         assert promise_labels(inst) == (0, 1, 0, 2, 1)
 
 
 def _phased_states(inst: QsiInstance, seed: int) -> QsiInstance:
     """The same states, each times a random phase, with no partition stored."""
     phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(inst.n))
-    return QsiInstance(tuple(PureState(p * s.amps) for p, s in zip(phases, inst.states)))
+    return QsiInstance(phases[:, None] * inst.states)
 
 
 def brute_rcir(n: int, r: int) -> Fraction:

@@ -1,9 +1,13 @@
+"""The state-algebra oracles: tensor and inner products, the DFT, the
+control measurement, and the joint-state and density-matrix objects. A pure
+state is a plain 1-D complex array."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_psd_density
+from conftest import basis_state, random_psd_density, unit
 from oracles import (
     DensityMatrix,
     JointState,
@@ -15,10 +19,9 @@ from oracles import (
     tensor,
     trace_distance,
 )
-from qsilab.qmath import PureState, basis_state
 
-PLUS = PureState.from_unnormalized([1, 1])
-MINUS = PureState.from_unnormalized([1, -1])
+PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -30,41 +33,20 @@ def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-class TestPureState:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
-            PureState(np.array([1.0, 1.0]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([]))
-
-    def test_from_unnormalized(self):
-        s = PureState.from_unnormalized([3, 4])
-        assert np.allclose(s.amps, [0.6, 0.8])
-        with pytest.raises(ValueError):
-            PureState.from_unnormalized([0, 0])
-
-    def test_amps_are_read_only(self):
-        s = basis_state(2, 0)
-        with pytest.raises(ValueError):
-            s.amps[0] = 5.0
-
-
 class TestTensor:
     def test_single_state_identity(self):
         s = basis_state(2, 0)
-        assert np.array_equal(tensor([s]).amps, s.amps)
+        assert np.array_equal(tensor([s]), s)
 
     def test_computational_basis(self):
         t = tensor([basis_state(2, 0), basis_state(2, 1)])
-        assert np.array_equal(t.amps, np.array([0, 1, 0, 0], dtype=complex))
+        assert np.array_equal(t, np.array([0, 1, 0, 0], dtype=complex))
 
     def test_plus_minus_expansion(self):
         t = tensor([PLUS, MINUS])
-        expected = kron_oracle(PLUS.amps, MINUS.amps)
-        assert np.allclose(t.amps, expected)
-        assert np.allclose(t.amps, np.array([1, -1, 1, -1]) / 2)
+        expected = kron_oracle(PLUS, MINUS)
+        assert np.allclose(t, expected)
+        assert np.allclose(t, np.array([1, -1, 1, -1]) / 2)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty tensor"):
@@ -72,31 +54,29 @@ class TestTensor:
 
     def test_dim_multiplies(self):
         t = tensor([basis_state(2, 1), basis_state(3, 2), basis_state(2, 0)])
-        assert t.dim == 12
+        assert t.size == 12
 
     def test_associativity_exact_on_dyadic_states(self):
         # amplitudes with tiny mantissas multiply exactly, so the two
         # association orders must agree bit for bit
-        half4 = PureState(np.array([0.5, -0.5, 0.5, 0.5], dtype=complex))
-        halfi = PureState(np.array([0.5j, 0.5, -0.5j, 0.5], dtype=complex))
+        half4 = np.array([0.5, -0.5, 0.5, 0.5], dtype=complex)
+        halfi = np.array([0.5j, 0.5, -0.5j, 0.5], dtype=complex)
         for a, b, c in [(half4, basis_state(2, 1), halfi),
                         (basis_state(3, 2), half4, half4),
                         (halfi, halfi, basis_state(2, 0))]:
-            left = tensor([tensor([a, b]), c]).amps
-            right = tensor([a, tensor([b, c])]).amps
+            left = tensor([tensor([a, b]), c])
+            right = tensor([a, tensor([b, c])])
             assert np.array_equal(left, right)
 
     def test_associativity_random(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             a, b, c = (
-                PureState.from_unnormalized(
-                    rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                )
+                unit(rng.standard_normal(d) + 1j * rng.standard_normal(d))
                 for d in rng.integers(2, 4, size=3)
             )
-            left = tensor([tensor([a, b]), c]).amps
-            right = tensor([a, tensor([b, c])]).amps
+            left = tensor([tensor([a, b]), c])
+            right = tensor([a, tensor([b, c])])
             assert np.allclose(left, right, atol=1e-15, rtol=0)
 
 
@@ -109,7 +89,7 @@ class TestInner:
         assert inner(PLUS, basis_state(2, 0)) == pytest.approx(1 / np.sqrt(2))
 
     def test_conjugate_linear_in_first(self):
-        s = PureState.from_unnormalized([1j, 1])
+        s = unit([1j, 1])
         t = basis_state(2, 0)
         assert inner(s, t) == pytest.approx(np.conj(1j) / np.sqrt(2))
 
@@ -121,8 +101,8 @@ class TestInner:
     @given(st.integers(0, 2**31 - 1), st.integers(2, 6))
     def test_cauchy_schwarz(self, seed, dim):
         rng = np.random.default_rng(seed)
-        a = PureState.from_unnormalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        b = PureState.from_unnormalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        a = unit(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        b = unit(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         assert abs(inner(a, b)) <= 1 + 1e-12
 
 
@@ -149,7 +129,7 @@ class TestDft:
 
 class TestMeasureFirstRegister:
     def test_control_already_zero(self):
-        s = JointState((2, 2), tensor([basis_state(2, 0), PLUS]).amps)
+        s = JointState((2, 2), tensor([basis_state(2, 0), PLUS]))
         results = measure_first_register(s)
         assert len(results) == 1
         outcome, prob, post = results[0]
@@ -157,7 +137,7 @@ class TestMeasureFirstRegister:
         assert np.allclose(post.amps, s.amps)
 
     def test_uniform_control_unentangled(self):
-        s = JointState((2, 2), tensor([PLUS, basis_state(2, 1)]).amps)
+        s = JointState((2, 2), tensor([PLUS, basis_state(2, 1)]))
         results = measure_first_register(s)
         assert [o for o, _, _ in results] == [0, 1]
         for _, prob, post in results:
@@ -166,8 +146,8 @@ class TestMeasureFirstRegister:
 
     def test_swap_test_joint_state_on_orthogonal_pair(self):
         # pre-measurement state (|0>(|ab>+|ba>) + |1>(|ab>-|ba>))/2
-        ab = tensor([basis_state(2, 0), basis_state(2, 1)]).amps
-        ba = tensor([basis_state(2, 1), basis_state(2, 0)]).amps
+        ab = tensor([basis_state(2, 0), basis_state(2, 1)])
+        ba = tensor([basis_state(2, 1), basis_state(2, 0)])
         amps = np.concatenate([(ab + ba) / 2, (ab - ba) / 2])
         results = measure_first_register(JointState((2, 2, 2), amps))
         probs = {o: p for o, p, _ in results}
