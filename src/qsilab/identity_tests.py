@@ -127,7 +127,7 @@ def run_circuit(kind: TestKind, inst: QsiInstance) -> TestResult:
         copies = (n * (n + 1) // 2 - 1) * (2 if kind is TestKind.ALTERNATION else 1)
     _circuit_cap(n, d, copies)
 
-    content = reduce(np.kron, inst.states).reshape((d,) * n)
+    content = reduce(np.multiply.outer, inst.states)
     if kind is TestKind.PERMUTATION:
         equal = _coset_mean(content, 1)
     elif kind is TestKind.ALTERNATION:

@@ -8,12 +8,19 @@ that matrix. The pairwise inner products are promised to have modulus 0 or
 share a block iff they are equal). Unstructured instances (arbitrary states,
 no partition) are allowed for the closed-form probability oracle but are
 rejected by the protocol runners.
+
+`load_instance` decodes each distinct file text once per process and hands
+the same instance to every later load of that text, from any path. Sharing
+is safe because an instance cannot change: `QsiInstance` and `Partition` are
+frozen and the states array is read-only. Decoding reads nothing but the
+text, and a text that fails to decode is not cached, so it fails every time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -164,27 +171,42 @@ def random_unstructured_instance(n: int, dim: int, seed: int) -> QsiInstance:
     return QsiInstance(np.array([row / float(np.linalg.norm(row)) for row in z]), None)
 
 
+def _integer(value, what: str) -> int:
+    """value if it is a JSON integer; bools, floats and strings are refused
+    rather than truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(obj) -> QsiInstance:
     """Decode the instance wire format.
 
     Structured form:   {"n": int, "dim": int, "partition": [[int, ...], ...],
                         "rotation_seed": optional int}
     Unstructured form: {"n": int, "dim": int, "states": [[[re, im], ...], ...]}
+
+    n, dim, the partition entries and rotation_seed must be integers, and an
+    object may not carry both a partition and states.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError("instance JSON must be an object")
     try:
-        n = int(obj["n"])
-        dim = int(obj["dim"])
-    except (KeyError, TypeError) as exc:
+        n, dim = obj["n"], obj["dim"]
+    except KeyError as exc:
         raise ValueError(f"instance JSON missing field: {exc}") from exc
+    n, dim = _integer(n, "n"), _integer(dim, "dim")
+    if "partition" in obj and "states" in obj:
+        raise ValueError("instance JSON has both 'partition' and 'states'; give one")
     if "partition" in obj:
         try:
-            blocks = tuple(frozenset(int(i) for i in b) for b in obj["partition"])
+            blocks = tuple(
+                frozenset(_integer(i, "partition entry") for i in b) for b in obj["partition"]
+            )
             seed = obj.get("rotation_seed")
-            seed = None if seed is None else int(seed)
+            seed = None if seed is None else _integer(seed, "rotation_seed")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed partition or rotation_seed: {exc}") from exc
         rotation = None if seed is None else haar_unitary(dim, seed)
@@ -204,7 +226,16 @@ def instance_from_json(obj) -> QsiInstance:
     raise ValueError("instance JSON needs either 'partition' or 'states'")
 
 
-def load_instance(path: str | Path) -> QsiInstance:
-    """Read an instance JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+@lru_cache
+def _decode(text: str) -> QsiInstance:
     return instance_from_json(text)
+
+
+def load_instance(path: str | Path) -> QsiInstance:
+    """Read an instance JSON file.
+
+    The file is read on every call, so a rewritten file is seen at once, but
+    each distinct text is decoded once per process: later loads of the same
+    text, from this path or another, return the same immutable instance.
+    """
+    return _decode(Path(path).read_text(encoding="utf-8"))

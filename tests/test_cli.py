@@ -10,6 +10,7 @@ import pytest
 
 from qsilab import selftest
 from qsilab.cli import _build_parser, main
+from qsilab.instances import _decode
 from qsilab.limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M
 
 
@@ -90,6 +91,9 @@ class TestTestCommand:
         {"n": 2, "dim": 2, "states": [[1, 0], [0, 1]]},
         {"n": 2, "dim": 2, "states": [[["a", 0], [0, 0]], [[1, 0], [0, 0]]]},
         {"n": 2, "dim": 2, "states": 5},
+        {"n": 2.9, "dim": "2", "partition": [[1.7], ["2"]], "rotation_seed": 3.5},
+        {"n": 2, "dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+         "partition": [[1], [2]]},
     ])
     def test_wrong_typed_fields_exit_2_without_traceback(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
@@ -101,6 +105,29 @@ class TestTestCommand:
         assert proc.returncode == 2, proc.stderr
         assert "cannot load instance" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_repeated_calls_print_the_same_bytes(self, capsys, tmp_path, orth_triple):
+        rotated = tmp_path / "rotated.json"
+        rotated.write_text(json.dumps(
+            {"n": 3, "dim": 3, "partition": [[1, 3], [2]], "rotation_seed": 11}))
+        _decode.cache_clear()
+        for argv in (
+            ("protocol", "srs", "--instance", orth_triple, "--m", "3", "--exact"),
+            ("protocol", "srs", "--instance", str(rotated), "--m", "4", "--trials", "500"),
+            ("test", "--kind", "permutation", "--mode", "both", "--instance", str(rotated)),
+        ):
+            outs = []
+            for _ in range(2):
+                code, out, _ = run_cli(capsys, *argv, "--seed", "1")
+                assert code == 0
+                outs.append(out)
+            assert outs[0] == outs[1] and outs[0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "dim": 2, "partition": [[1], [2]], "rotation_seed": 3.5}))
+        for _ in range(2):
+            code, _, err = run_cli(capsys, "test", "--kind", "swap", "--instance", str(bad))
+            assert code == 2
+            assert "cannot load instance" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "test", "--kind", "swap",

@@ -1,7 +1,10 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+
+import qsilab
 
 from conftest import all_orthogonal, basis_state, two_block, unit, yes_instance
 from oracles import (
@@ -17,6 +20,7 @@ from oracles import (
 )
 from qsilab.instances import (
     QsiInstance,
+    _decode,
     build_instance,
     haar_unitary,
     instance_from_json,
@@ -290,6 +294,25 @@ class TestJsonFormat:
             ({"n": 2, "dim": 2, "partition": 5}, "malformed partition"),
             ({"n": 2, "dim": 2, "partition": [[1], [2]], "rotation_seed": [5]},
              "malformed partition or rotation_seed"),
+            ({"n": 2.9, "dim": "2", "partition": [[1.7], ["2"]], "rotation_seed": 3.5},
+             "n must be an integer, got 2.9"),
+            ({"n": 2.0, "dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+             "n must be an integer, got 2.0"),
+            ({"n": None, "dim": 2, "partition": [[1], [2]]}, "n must be an integer, got None"),
+            ({"n": 2, "dim": "2", "partition": [[1], [2]]}, "dim must be an integer, got '2'"),
+            ({"n": 2, "dim": True, "partition": [[1, 2]]}, "dim must be an integer, got True"),
+            ({"n": 2, "dim": 2, "partition": [[1.7], [2]]},
+             "malformed partition or rotation_seed: partition entry must be an integer, got 1.7"),
+            ({"n": 2, "dim": 2, "partition": [[1], ["2"]]},
+             "partition entry must be an integer, got '2'"),
+            ({"n": 2, "dim": 2, "partition": ["12"]},
+             "partition entry must be an integer, got '1'"),
+            ({"n": 2, "dim": 2, "partition": [[1], [2]], "rotation_seed": 3.5},
+             "rotation_seed must be an integer, got 3.5"),
+            ({"n": 2, "dim": 2, "partition": [[1], [2]], "rotation_seed": False},
+             "rotation_seed must be an integer, got False"),
+            ({"n": 2, "dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+              "partition": [[1], [2]]}, "both 'partition' and 'states'"),
         ],
     )
     def test_malformed_rejected(self, payload, message):
@@ -305,3 +328,59 @@ class TestJsonFormat:
     def test_examples_verdicts(self):
         assert verify_promise(all_orthogonal(3)) is Verdict.NO_INSTANCE
         assert verify_promise(two_block(3, 2)) is Verdict.NO_INSTANCE
+
+
+class TestDecodeCache:
+    PAYLOAD = {"n": 3, "dim": 3, "partition": [[1, 3], [2]], "rotation_seed": 4}
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        _decode.cache_clear()
+
+    def write(self, path, payload):
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_one_decode_per_text(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(obj):
+            calls.append(obj)
+            return instance_from_json(obj)
+
+        monkeypatch.setattr("qsilab.instances.instance_from_json", counted)
+        path = self.write(tmp_path / "inst.json", self.PAYLOAD)
+        first = load_instance(path)
+        assert load_instance(str(path)) is first
+        assert qsilab.load_instance(path) is first
+        assert len(calls) == 1
+
+    def test_rewritten_file_is_decoded_again(self, tmp_path):
+        path = self.write(tmp_path / "inst.json", self.PAYLOAD)
+        old = load_instance(path)
+        self.write(path, {"n": 3, "dim": 3, "partition": [[1], [2], [3]]})
+        new = load_instance(path)
+        assert new is not old
+        assert new.partition == Partition(3, (frozenset({1}), frozenset({2}), frozenset({3})))
+        assert old.partition == Partition(3, (frozenset({1, 3}), frozenset({2})))
+
+    def test_identical_texts_share_an_instance(self, tmp_path):
+        a = self.write(tmp_path / "a.json", self.PAYLOAD)
+        b = self.write(tmp_path / "b.json", self.PAYLOAD)
+        assert load_instance(a) is load_instance(b)
+        assert _decode.cache_info().currsize == 1
+
+    def test_malformed_file_fails_every_load(self, tmp_path):
+        path = self.write(tmp_path / "bad.json", {"n": 2, "dim": 2.5, "partition": [[1], [2]]})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                load_instance(path)
+        assert _decode.cache_info().currsize == 0
+
+    def test_shared_states_refuse_assignment(self, tmp_path):
+        inst = load_instance(self.write(tmp_path / "inst.json", self.PAYLOAD))
+        with pytest.raises(ValueError, match="read-only"):
+            inst.states[0, 0] = 0
+        with pytest.raises(FrozenInstanceError):
+            inst.states = np.eye(3, dtype=complex)
+        assert np.array_equal(inst.states, instance_from_json(self.PAYLOAD).states)
