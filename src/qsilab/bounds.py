@@ -17,27 +17,18 @@ from .identity_tests import TestKind, permanent, run_circuit
 from .instances import QsiInstance
 from .limits import RCIR_EXACT_MAX_N, SYM_ENUM_MAX_N, CapExceededError
 
-#: Largest n for the factorial-ratio bounds.
-TWO_BLOCK_MAX_N = 40
-
 #: Tolerance of the two-sided gap check on the trace distance and error sum.
 GAP_ATOL = 1e-10
 
-#: Case labels for the per-divisor alignment-probability bound.
-CASE_SMALL_S = "s<=r/3"
-CASE_HALF_R = "s=r/2"
-CASE_FULL_R = "s=r"
-CASE_UNCOVERED = "uncovered"
-
 
 def two_block_soundness(n: int, l: int) -> Fraction:
-    """Stabilizer ratio l!(n-l)!/n! for a two-block split; always <= 1/n,
-    since it is 1/C(n, l) and C(n, l) >= n for 1 <= l <= n-1."""
-    if not 2 <= n <= TWO_BLOCK_MAX_N:
-        raise ValueError(f"n must be within 2..{TWO_BLOCK_MAX_N}, got {n}")
+    """Stabilizer ratio l!(n-l)!/n! = 1/C(n, l) for a two-block split, <= 1/n
+    as C(n, l) >= n. Raises CapExceededError when n exceeds RCIR_EXACT_MAX_N."""
     if not 1 <= l <= n - 1:
-        raise ValueError(f"l must be within 1..n-1, got {l}")
-    return Fraction(math.factorial(l) * math.factorial(n - l), math.factorial(n))
+        raise ValueError(f"l must be within 1..n-1, got l={l}, n={n}")
+    if n > RCIR_EXACT_MAX_N:
+        raise CapExceededError(f"exact two-block ratio capped at n={RCIR_EXACT_MAX_N}, got n={n}")
+    return Fraction(1, math.comb(n, l))
 
 
 def q_value(n: int, r: int, s: int) -> Fraction:
@@ -54,41 +45,17 @@ def q_value(n: int, r: int, s: int) -> Fraction:
     return Fraction(math.comb(n // s, r // s), math.comb(n, r)) * Fraction(s, n)
 
 
-def q_bound_case(n: int, r: int, s: int) -> str:
-    """Which case of the per-divisor bound applies (guards are exclusive)."""
+def q_case(n: int, r: int, s: int) -> tuple[str, Fraction | None]:
+    """The case of the per-divisor bound on q(n, r, s) and its bound, guards in
+    order; ("uncovered", None) between r/3 and r/2. Validate the triple with
+    q_value first, so that no bound divides by zero."""
     if s == r:
-        return CASE_FULL_R
+        return "s=r", Fraction(2, n * (n - 1))
     if 2 * s == r:
-        return CASE_HALF_R
+        return "s=r/2", Fraction(6, (n - 1) * (n - 2) * (n - 3))
     if 3 * s <= r:
-        return CASE_SMALL_S
-    return CASE_UNCOVERED
-
-
-def q_case_bound(n: int, r: int, s: int) -> Fraction | None:
-    """The case bound for q(n, r, s), or None when no case guard applies."""
-    case = q_bound_case(n, r, s)
-    if case == CASE_FULL_R:
-        return Fraction(2, n * (n - 1))
-    if case == CASE_HALF_R:
-        return Fraction(6, (n - 1) * (n - 2) * (n - 3))
-    if case == CASE_SMALL_S:
-        return Fraction(1, n * s * s)
-    return None
-
-
-def q_bound_check(n: int, r: int, s: int) -> bool | None:
-    """Exact comparison of q(n, r, s) against its case bound.
-
-    Returns True/False for covered cases and None when the divisor falls in
-    the uncovered gap between r/3 and r/2.
-    """
-    if n < 4:
-        raise ValueError(f"bound cases need n >= 4, got {n}")
-    bound = q_case_bound(n, r, s)
-    if bound is None:
-        return None
-    return q_value(n, r, s) <= bound
+        return "s<=r/3", Fraction(1, n * s * s)
+    return "uncovered", None
 
 
 def eq2_bound(n: int, r: int) -> Fraction:

@@ -31,8 +31,7 @@ from typing import Any, Callable
 from .bounds import (
     basel_asymptote,
     eq2_bound,
-    q_bound_case,
-    q_case_bound,
+    q_case,
     q_value,
     two_block_soundness,
     two_sided_gap_check,
@@ -190,7 +189,7 @@ def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
     return columns, [row], dict(row)
 
 
-def _sweep_perm_soundness(args) -> tuple[list[str], list[dict]]:
+def _sweep_perm_soundness(args) -> list[dict]:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         for l in range(1, n):
@@ -202,11 +201,10 @@ def _sweep_perm_soundness(args) -> tuple[list[str], list[dict]]:
                 "soundness_float": float(value),
                 "one_over_n_float": 1.0 / n,
             })
-    columns = ["n", "l", "soundness_rational", "soundness_float", "one_over_n_float"]
-    return columns, rows
+    return rows
 
 
-def _sweep_rcir_vs_bound(args) -> tuple[list[str], list[dict]]:
+def _sweep_rcir_vs_bound(args) -> list[dict]:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         for r in range(1, n // 2 + 1):
@@ -222,12 +220,10 @@ def _sweep_rcir_vs_bound(args) -> tuple[list[str], list[dict]]:
                 "loose_float": 1.7 / n,
                 "within_bound": exact <= bound,
             })
-    columns = ["n", "r", "exact_rational", "exact_float", "bound_rational",
-               "bound_float", "loose_float", "within_bound"]
-    return columns, rows
+    return rows
 
 
-def _sweep_srs_vs_m(args) -> tuple[list[str], list[dict]]:
+def _sweep_srs_vs_m(args) -> list[dict]:
     if args.m_max > SRS_EXACT_MAX_M:
         raise CapExceededError(
             f"--m-max {args.m_max}: exact sequential swap capped at m={SRS_EXACT_MAX_M}"
@@ -248,22 +244,18 @@ def _sweep_srs_vs_m(args) -> tuple[list[str], list[dict]]:
             "bound_float": float(bound),
             "within_bound": ti <= bound and ao <= bound,
         })
-    columns = ["m", "two_identical_rational", "two_identical_float",
-               "all_orthogonal_rational", "all_orthogonal_float",
-               "bound_rational", "bound_float", "within_bound"]
-    return columns, rows
+    return rows
 
 
-def _sweep_qbounds(args) -> tuple[list[str], list[dict]]:
+def _sweep_qbounds(args) -> list[dict]:
     rows = []
-    for n in range(max(args.n_min, 4), args.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         for r in range(1, n // 2 + 1):
             for s in range(2, r + 1):
                 if n % s or r % s:
                     continue
                 value = q_value(n, r, s)
-                case = q_bound_case(n, r, s)
-                case_bound = q_case_bound(n, r, s)
+                case, case_bound = q_case(n, r, s)
                 rows.append({
                     "n": n,
                     "r": r,
@@ -275,9 +267,7 @@ def _sweep_qbounds(args) -> tuple[list[str], list[dict]]:
                     "case_bound_float": float(case_bound) if case_bound is not None else None,
                     "holds": value <= case_bound if case_bound is not None else None,
                 })
-    columns = ["n", "r", "s", "q_rational", "q_float", "case",
-               "case_bound_rational", "case_bound_float", "holds"]
-    return columns, rows
+    return rows
 
 
 _SWEEPS = {
@@ -289,12 +279,12 @@ _SWEEPS = {
 
 
 def _cmd_sweep(args, seed: int) -> tuple[list[str], list[dict], dict]:
-    columns, rows = _SWEEPS[args.target](args)
+    rows = _SWEEPS[args.target](args)
     if not rows:
         flags = (f"--m-max {args.m_max}" if args.target == "srs-vs-m"
                  else f"--n-min {args.n_min} --n-max {args.n_max}")
         raise InputError(f"sweep {args.target} has no rows for {flags}")
-    return columns, rows, {"rows": len(rows)}
+    return list(rows[0]), rows, {"rows": len(rows)}
 
 
 def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
@@ -313,7 +303,7 @@ def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
         value = q_value(args.n, args.r, args.s)
         row = {"bound": which, "n": args.n, "r": args.r, "s": args.s,
                "value_rational": _rat(value), "value_float": float(value),
-               "case": q_bound_case(args.n, args.r, args.s)}
+               "case": q_case(args.n, args.r, args.s)[0]}
     elif which == "eq2":
         value = eq2_bound(args.n, args.r)
         row = {"bound": which, "n": args.n, "r": args.r,

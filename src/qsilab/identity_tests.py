@@ -72,7 +72,7 @@ def _check_kind_n(kind: TestKind, n: int) -> None:
     if kind is TestKind.CIRCLE:
         if n > CIRCLE_FORMULA_MAX_N:
             raise CapExceededError(
-                f"circle control group capped at n={CIRCLE_FORMULA_MAX_N}, got {n}"
+                f"circle test capped at n={CIRCLE_FORMULA_MAX_N}, got {n}"
             )
     elif n > SYM_ENUM_MAX_N:
         raise CapExceededError(

@@ -26,9 +26,10 @@ SYM_ENUM_MAX_N = 10
 #: The cyclic-shift test alone: its circuit, Gram formula and exact rationals.
 CIRCLE_FORMULA_MAX_N = 24
 
-#: Randomized circle, exact and Monte Carlo, and its q and eq2 bounds: an input
-#: bound on their binomials, which grow with n (the Burnside sum takes about 10
-#: ms at this n, 0.5 s at 10**5; eq2_bound(n, n/2) has a 3008-digit denominator).
+#: Randomized circle, exact and Monte Carlo, its q and eq2 bounds, and the
+#: two-block ratio 1/C(n, l): an input bound on their binomials, which grow with
+#: n (the Burnside sum takes about 10 ms at this n, 0.5 s at 10**5;
+#: eq2_bound(n, n/2) has a 3008-digit denominator, C(n, n/2) 3010 digits).
 RCIR_EXACT_MAX_N = 10_000
 
 #: Exact sequential random swap: an input bound on the rounds m. The value's
@@ -45,6 +46,13 @@ class CapExceededError(RuntimeError):
 
 
 def max_amplitudes() -> int:
-    """Circuit work budget (copies added times d^n); override with QSI_MAX_AMPS."""
+    """Circuit work budget (copies added times d^n); override with QSI_MAX_AMPS.
+
+    Raises ValueError unless QSI_MAX_AMPS, when set, is a positive integer.
+    """
     raw = os.environ.get("QSI_MAX_AMPS")
-    return int(raw) if raw else DEFAULT_MAX_AMPS
+    if not raw:
+        return DEFAULT_MAX_AMPS
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"QSI_MAX_AMPS must be a positive integer, got {raw!r}")
+    return int(raw)

@@ -291,18 +291,14 @@ def rcir_exact_for_instance(inst: QsiInstance) -> Fraction:
     cycle's arrangements, and under the promise the cyclic-shift test passes
     with the share of shifts that fix the arrangement, so the value is
     ``_necklace_share`` of the block sizes. With two blocks it equals
-    ``rcir_exact(n, r)``.
+    ``rcir_exact(n, r)``; with a single block (a YES instance) it is 1.
 
-    Raises ValueError when the instance has no promise partition or a single
-    block (a YES instance), and CapExceededError when n exceeds
-    RCIR_EXACT_MAX_N.
+    Raises ValueError when the instance has no promise partition, and
+    CapExceededError when n exceeds RCIR_EXACT_MAX_N.
     """
     if inst.partition is None:
         raise ValueError("exact evaluation needs the promise partition")
-    sizes = [len(b) for b in inst.partition.blocks]
-    if len(sizes) < 2:
-        raise ValueError("instance has a single block: it is a YES instance")
-    return _necklace_share(sizes)
+    return _necklace_share([len(b) for b in inst.partition.blocks])
 
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%

@@ -20,7 +20,8 @@ from .bounds import (
     eq2_bound,
     inverse_square_tail_bracket,
     ps_lower_bound,
-    q_bound_check,
+    q_case,
+    q_value,
     two_block_soundness,
     two_sided_gap_check,
 )
@@ -329,10 +330,10 @@ def criterion_8() -> CriterionResult:
             for s in range(2, r + 1):
                 if n % s or r % s:
                     continue
-                verdict = q_bound_check(n, r, s)
-                if verdict is None:
+                value, bound = q_value(n, r, s), q_case(n, r, s)[1]
+                if bound is None:
                     uncovered += 1
-                elif verdict is False:
+                elif value > bound:
                     problems.append(f"case bound fails at (n,r,s)=({n},{r},{s})")
                 else:
                     checked += 1

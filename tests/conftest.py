@@ -1,9 +1,23 @@
 """Shared builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from qsilab.instances import build_instance
 from qsilab.permgroup import Partition
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocesses_import_src():
+    """CLI subprocesses import the same source tree as the tests, also in a bare
+    `python -m pytest` where only pyproject's pythonpath puts src on sys.path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"),
+                     prepend=os.pathsep)
+        yield
 
 
 def two_block(n: int, l: int, dim: int = 2, rotation=None):

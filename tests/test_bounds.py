@@ -15,16 +15,11 @@ from oracles import (
     trace_distance,
 )
 from qsilab.bounds import (
-    CASE_FULL_R,
-    CASE_HALF_R,
-    CASE_SMALL_S,
     basel_asymptote,
     eq2_bound,
     inverse_square_tail_bracket,
     ps_lower_bound,
-    q_bound_case,
-    q_bound_check,
-    q_case_bound,
+    q_case,
     q_value,
     two_block_soundness,
     two_sided_gap_check,
@@ -66,10 +61,13 @@ class TestTwoBlockSoundness:
                 assert two_block_soundness(n, l) <= Fraction(1, n)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            two_block_soundness(41, 1)
+        assert two_block_soundness(RCIR_EXACT_MAX_N, 1) == Fraction(1, RCIR_EXACT_MAX_N)
+        with pytest.raises(CapExceededError, match=f"n={RCIR_EXACT_MAX_N}"):
+            two_block_soundness(RCIR_EXACT_MAX_N + 1, 1)
         with pytest.raises(ValueError):
             two_block_soundness(5, 5)
+        with pytest.raises(ValueError):
+            two_block_soundness(5, 0)
 
 
 class TestQValue:
@@ -97,14 +95,15 @@ class TestQValue:
 
 class TestQBoundCheck:
     def test_case_labels(self):
-        assert q_bound_case(12, 6, 3) == CASE_HALF_R
-        assert q_bound_case(8, 4, 4) == CASE_FULL_R
-        assert q_bound_case(18, 9, 3) == CASE_SMALL_S
+        assert q_case(12, 6, 3) == ("s=r/2", Fraction(6, 990))
+        assert q_case(8, 4, 4) == ("s=r", Fraction(2, 56))
+        assert q_case(18, 9, 3) == ("s<=r/3", Fraction(1, 162))
+        assert q_case(10, 5, 2) == ("uncovered", None)  # 2 does not divide 5
 
     def test_examples_hold(self):
-        assert q_bound_check(12, 6, 3) is True  # 1/616 <= 6/990
-        assert q_bound_check(8, 4, 4) is True   # 1/70 <= 2/56
-        assert q_bound_check(18, 9, 3) is True
+        assert q_value(12, 6, 3) <= q_case(12, 6, 3)[1]  # 1/616 <= 6/990
+        assert q_value(8, 4, 4) <= q_case(8, 4, 4)[1]    # 1/70 <= 2/56
+        assert q_value(18, 9, 3) <= q_case(18, 9, 3)[1]
 
     def test_grid_holds_everywhere(self):
         uncovered = 0
@@ -113,17 +112,13 @@ class TestQBoundCheck:
                 for s in range(2, r + 1):
                     if n % s or r % s:
                         continue
-                    verdict = q_bound_check(n, r, s)
-                    if verdict is None:
+                    value, bound = q_value(n, r, s), q_case(n, r, s)[1]
+                    if bound is None:
                         uncovered += 1
                     else:
-                        assert verdict is True, (n, r, s)
+                        assert value <= bound, (n, r, s)
         # every divisor s of r is <= r/3, = r/2, or = r, so nothing is uncovered
         assert uncovered == 0
-
-    def test_needs_n_at_least_four(self):
-        with pytest.raises(ValueError):
-            q_bound_check(3, 1, 1)
 
 
 class TestEq2Bound:
@@ -279,7 +274,7 @@ class TestTwoSidedGap:
 class TestRationalBound:
     def test_float_view(self):
         # every rational bound is a plain Fraction, its float view float(value)
-        for value in (two_block_soundness(8, 3), q_value(12, 6, 3), q_case_bound(12, 6, 3),
-                      q_case_bound(12, 6, 6), q_case_bound(12, 6, 2), eq2_bound(12, 6)):
+        for value in (two_block_soundness(8, 3), q_value(12, 6, 3), q_case(12, 6, 3)[1],
+                      q_case(12, 6, 6)[1], q_case(12, 6, 2)[1], eq2_bound(12, 6)):
             assert type(value) is Fraction
             assert float(value) == value.numerator / value.denominator

@@ -144,6 +144,29 @@ class TestTestCommand:
         assert code == 3
         assert "budget" in err and "QSI_MAX_AMPS" in err
 
+    @pytest.mark.parametrize(
+        "kind,n,extra,cap",
+        [
+            ("circle", 25, [], "circle test capped at n=24, got 25"),
+            ("permutation", 11, ["--mode", "formula"],
+             "permutation and alternation tests capped at n=10, got 11"),
+        ],
+    )
+    def test_kind_n_cap_exits_3_naming_it(self, capsys, tmp_path, kind, n, extra, cap):
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps({"n": n, "dim": 2, "partition": [list(range(1, n + 1))]}))
+        code, out, err = run_cli(capsys, "test", "--kind", kind, "--instance", str(path), *extra)
+        assert code == 3
+        assert out == "" and err == f"error: {cap}\n"
+
+    @pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
+    def test_bad_amplitude_budget_exits_2_naming_it(self, capsys, orth_pair, monkeypatch, raw):
+        monkeypatch.setenv("QSI_MAX_AMPS", raw)
+        code, out, err = run_cli(capsys, "test", "--kind", "swap", "--instance", orth_pair)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: QSI_MAX_AMPS must be a positive integer, got {raw!r}\n"
+
     def test_non_real_formula_exits_2(self, capsys, orth_pair, monkeypatch):
         def non_real(kind, inst):
             raise ArithmeticError("group average has imaginary part 0.5")
@@ -312,6 +335,17 @@ class TestProtocolCommand:
         p = float(exact["value_float"])
         assert abs(float(mc["p_hat"]) - p) <= 5 * math.sqrt(p * (1 - p) / trials)
 
+    def test_rcir_exact_and_monte_carlo_accept_a_yes_instance(self, capsys, tmp_path):
+        path = tmp_path / "yes.json"
+        path.write_text(json.dumps({"n": 4, "dim": 2, "partition": [[1, 2, 3, 4]]}))
+        code, out, _ = run_cli(capsys, "protocol", "rcir", "--instance", str(path), "--exact")
+        assert code == 0
+        assert parse_csv(out)[0]["value_rational"] == "1/1"
+        code, out, _ = run_cli(capsys, "protocol", "rcir", "--instance", str(path),
+                               "--trials", "200", "--seed", "3")
+        assert code == 0
+        assert parse_csv(out)[0]["p_hat"] == "1.0"
+
     def test_canonical_policy_needs_exact(self, capsys, monkeypatch, orth_triple):
         def refuse(*args, **kwargs):
             raise AssertionError("instance loaded before the policy check")
@@ -405,6 +439,43 @@ class TestSweepCommand:
         assert code == 3
         assert f"--m-max {SRS_EXACT_MAX_M + 1}" in err
 
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (["perm-soundness", "--n-max", "3"],
+             "n,l,soundness_rational,soundness_float,one_over_n_float"),
+            (["rcir-vs-bound", "--n-max", "3"],
+             "n,r,exact_rational,exact_float,bound_rational,bound_float,loose_float,"
+             "within_bound"),
+            (["srs-vs-m", "--m-max", "1"],
+             "m,two_identical_rational,two_identical_float,all_orthogonal_rational,"
+             "all_orthogonal_float,bound_rational,bound_float,within_bound"),
+            (["qbounds", "--n-max", "4"],
+             "n,r,s,q_rational,q_float,case,case_bound_rational,case_bound_float,holds"),
+        ],
+    )
+    def test_sweep_header_order(self, capsys, argv, header):
+        # DictReader ignores column order, so the header line is pinned as text
+        code, out, _ = run_cli(capsys, "sweep", *argv, "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[0] == header + ",run_id,seed"
+
+    def test_qbounds_adds_no_rows_below_n_4(self, capsys):
+        # for n <= 3 no divisor s >= 2 of r <= n/2 exists
+        def rows(n_min):
+            _, out, _ = run_cli(capsys, "sweep", "qbounds", "--n-min", n_min, "--n-max", "12",
+                                "--seed", "1")
+            return [dict(row, run_id=None) for row in parse_csv(out)]
+
+        assert rows("1") == rows("4") != []
+
+    def test_perm_soundness_above_n_cap_exits_3(self, capsys):
+        n = str(RCIR_EXACT_MAX_N + 1)
+        code, out, err = run_cli(capsys, "sweep", "perm-soundness", "--n-min", n, "--n-max", n,
+                                 "--seed", "1")
+        assert code == 3
+        assert out == "" and f"capped at n={RCIR_EXACT_MAX_N}" in err
+
     def test_qbounds_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "q.csv"
         run_cli(capsys, "sweep", "qbounds", "--n-min", "4", "--n-max", "16",
@@ -456,6 +527,7 @@ class TestBoundsCommand:
         [
             ["eq2", "--r", "5000"],
             ["q", "--r", "5000", "--s", "5000"],
+            ["two-block", "--l", "5000"],
         ],
     )
     def test_exact_bounds_at_n_cap_print(self, capsys, argv):
@@ -470,6 +542,7 @@ class TestBoundsCommand:
         [
             ["eq2", "--r", "5000"],
             ["q", "--r", "73", "--s", "73"],
+            ["two-block", "--l", "1"],
         ],
     )
     def test_exact_bounds_above_n_cap_exit_3(self, capsys, argv):
