@@ -26,7 +26,9 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
+
+import numpy as np
 
 from .bounds import (
     basel_asymptote,
@@ -37,19 +39,9 @@ from .bounds import (
     two_sided_gap_check,
 )
 from .identity_tests import TestKind, equal_prob_formula, equal_prob_rational, run_circuit
-from .instances import QsiInstance, load_instance, build_instance
+from .instances import QsiInstance, load_instance
 from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, CapExceededError
-from .permgroup import Partition
-from .protocols import (
-    mc_run,
-    promise_labels,
-    rcir_batch,
-    rcir_exact,
-    rcir_exact_for_instance,
-    srs_batch,
-    srs_exact,
-    srs_exact_values,
-)
+from .protocols import mc_run, promise_labels, rcir_batch, rcir_exact, srs_batch, srs_exact
 from .selftest import run_all
 
 
@@ -128,15 +120,8 @@ def _cmd_test(args, seed: int) -> tuple[list[str], list[dict], dict]:
     return columns, [row], dict(row)
 
 
-def _protocol_sampler(args, inst: QsiInstance | None) -> Callable:
-    if args.protocol == "srs":
-        return lambda rng, k: srs_batch(inst, args.m, rng, k)
-    labels = promise_labels(inst) if inst is not None else (0,) * args.r + (1,) * (args.n - args.r)
-    return lambda rng, k: rcir_batch(labels, rng, k)
-
-
 def _check_protocol_args(args) -> None:
-    """Reject out-of-range flags before any instance is loaded or built."""
+    """Reject out-of-range or conflicting flags before any instance is loaded."""
     if not args.exact and args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     if not args.exact and args.policy != "uniform":
@@ -146,6 +131,9 @@ def _check_protocol_args(args) -> None:
     if args.protocol == "srs" and args.m < 1:
         raise InputError(f"--m must be at least 1, got {args.m}")
     if args.instance is not None:
+        given = " ".join(f"--{flag}" for flag in "nr" if getattr(args, flag) is not None)
+        if given:
+            raise InputError(f"{given} cannot be given with --instance, which fixes the states")
         return
     if args.protocol != "rcir" or args.n is None or args.r is None:
         raise InputError("protocol needs --instance (or --n/--r for rcir)")
@@ -158,25 +146,24 @@ def _check_protocol_args(args) -> None:
 def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
     _check_protocol_args(args)
     inst = _load(args.instance) if args.instance is not None else None
+    labels = promise_labels(inst) if inst is not None else (0,) * args.r + (1,) * (args.n - args.r)
     row: dict[str, Any] = {
         "protocol": args.protocol,
-        "n": inst.n if inst is not None else args.n,
+        "n": len(labels),
         "r": args.r,
         "m": args.m if args.protocol == "srs" else None,
         "policy": args.policy if args.protocol == "srs" else None,
         "mode": "exact" if args.exact else "mc",
     }
     if args.exact:
-        if args.protocol == "srs":
-            value = srs_exact(inst, args.m)
-        elif inst is not None:
-            value = rcir_exact_for_instance(inst)
-        else:
-            value = rcir_exact(args.n, args.r)
+        sizes = np.bincount(labels).tolist()
+        value = srs_exact(sizes, args.m) if args.protocol == "srs" else rcir_exact(sizes)
         row["value_rational"] = _rat(value)
         row["value_float"] = float(value)
     else:
-        est = mc_run(_protocol_sampler(args, inst), args.trials, seed)
+        sample = (functools.partial(srs_batch, inst, args.m) if args.protocol == "srs"
+                  else functools.partial(rcir_batch, labels))
+        est = mc_run(sample, args.trials, seed)
         row.update(
             trials=est.trials,
             successes=est.successes,
@@ -208,7 +195,7 @@ def _sweep_rcir_vs_bound(args) -> list[dict]:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         for r in range(1, n // 2 + 1):
-            exact = rcir_exact(n, r)
+            exact = rcir_exact([r, n - r])
             bound = eq2_bound(n, r)
             rows.append({
                 "n": n,
@@ -228,11 +215,9 @@ def _sweep_srs_vs_m(args) -> list[dict]:
         raise CapExceededError(
             f"--m-max {args.m_max}: exact sequential swap capped at m={SRS_EXACT_MAX_M}"
         )
-    rounds = range(1, args.m_max + 1)
-    two_ident = srs_exact_values(build_instance(Partition.of([[1, 3], [2]]), dim=2), rounds)
-    all_orth = srs_exact_values(build_instance(Partition.of([[1], [2], [3]]), dim=3), rounds)
     rows = []
-    for m, ti, ao in zip(rounds, two_ident, all_orth):
+    for m in range(1, args.m_max + 1):
+        ti, ao = srs_exact([2, 1], m), srs_exact([1, 1, 1], m)
         bound = Fraction(1, 3) + Fraction(1, 4 ** (m - 1))
         rows.append({
             "m": m,

@@ -1,7 +1,8 @@
 """Semi-classical identity-testing protocols.
 
 Two protocols are implemented, each as a batch of sampled runs with
-measurement collapse and as an exact-probability evaluator:
+measurement collapse and as an exact-probability evaluator of the promise
+block sizes, the only part of an instance the exact value depends on:
 
 * sequential random swap on three states: m rounds of swap tests on
   classically chosen register pairs, collapsing the joint state between
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,11 +75,6 @@ def srs_closed_form(k: int) -> SrsClosedForm:
     return SrsClosedForm(p, a, q)
 
 
-def _require_three(inst: QsiInstance) -> None:
-    if inst.n != 3:
-        raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
-
-
 def srs_start(inst: QsiInstance) -> tuple[np.ndarray, np.ndarray]:
     """The sequential swap kernel's one-row table of the product state, and
     the 3 x r^3 flat indices that swap each pair of ``_PAIRS``.
@@ -88,7 +84,8 @@ def srs_start(inst: QsiInstance) -> tuple[np.ndarray, np.ndarray]:
     factorization of the d x 3 state matrix, at most 27 amplitudes whatever
     d is. Raises ValueError when the instance does not have exactly 3
     states, then when its states break the promise."""
-    _require_three(inst)
+    if inst.n != 3:
+        raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
     promise_labels(inst)
     coords = np.linalg.qr(inst.states.T, mode="r")
     r = len(coords)
@@ -162,36 +159,30 @@ def srs_path_sum(inst: QsiInstance, m: int) -> np.ndarray:
     return values
 
 
-def srs_exact_values(inst: QsiInstance, rounds: range) -> Iterator[Fraction]:
-    """``srs_exact(inst, m)`` for each m in rounds, checking m and the instance once."""
-    if rounds.start < 1:
-        raise ValueError("round count must be at least 1")
-    if (last := rounds.stop - 1) > SRS_EXACT_MAX_M:
-        raise CapExceededError(f"exact sequential swap capped at m={SRS_EXACT_MAX_M}, got m={last}")
-    _require_three(inst)
-    if inst.partition is None:
-        raise ValueError("exact evaluation needs the promise partition")
-    blocks = inst.partition.block_count
-    base = {1: Fraction(1), 2: Fraction(1, 3), 3: Fraction(1, 6)}[blocks]
-    return (base if blocks == 1 else base + Fraction(1, 3 * 4 ** (m - 1)) for m in rounds)
+def srs_exact(sizes: Sequence[int], m: int) -> Fraction:
+    """Exact YES probability of the m-round sequential swap protocol on three
+    states whose promise blocks have these sizes (``np.bincount`` of
+    ``promise_labels``).
 
-
-def srs_exact(inst: QsiInstance, m: int) -> Fraction:
-    """Exact YES probability of the m-round sequential swap protocol.
-
-    With b blocks in the promise partition the value is 1 when b = 1, and
-    1/3 or 1/6 plus 1/(3 * 4^(m-1)) when b = 2 or 3: the weight of the
-    state's symmetric part, which passes every swap test, plus that of its
-    standard S_3 parts, 1/3 after the first round on average over the first
-    pair. Each later round keeps a quarter of the latter, since it tests a new
-    pair, whose symmetric line there is at 60 degrees to the last pair's.
+    With b blocks the value is 1 when b = 1, and 1/3 or 1/6 plus
+    1/(3 * 4^(m-1)) when b = 2 or 3: the weight of the state's symmetric
+    part, which passes every swap test, plus that of its standard S_3 parts,
+    1/3 after the first round on average over the first pair. Each later
+    round keeps a quarter of the latter, since it tests a new pair, whose
+    symmetric line there is at 60 degrees to the last pair's.
 
     Raises ValueError when m < 1, CapExceededError when m > SRS_EXACT_MAX_M,
-    then ValueError when the instance does not have exactly 3 states or has
-    no promise partition (a partition implies the promise, which
-    ``QsiInstance`` enforces).
+    then ValueError unless the sizes are positive and sum to 3.
     """
-    return next(srs_exact_values(inst, range(m, m + 1)))
+    if m < 1:
+        raise ValueError("round count must be at least 1")
+    if m > SRS_EXACT_MAX_M:
+        raise CapExceededError(f"exact sequential swap capped at m={SRS_EXACT_MAX_M}, got m={m}")
+    if sum(sizes) != 3 or min(sizes) < 1:
+        raise ValueError(f"protocol is defined on exactly 3 states, got block sizes {list(sizes)}")
+    if len(sizes) == 1:
+        return Fraction(1)
+    return Fraction(1, 3 * (len(sizes) - 1)) + Fraction(1, 3 * 4 ** (m - 1))
 
 
 def promise_labels(inst: QsiInstance) -> tuple[int, ...]:
@@ -213,8 +204,8 @@ def rcir_batch(labels: Sequence[int], rng: np.random.Generator, k: int) -> np.nd
     Each run permutes the label row uniformly. Under the promise the phases
     cancel around every cycle, so the shift test passes with the number of
     cyclic shifts that fix the row, over n: ``fixed_shifts`` with g the gcd
-    of the block sizes. The k rows take k*n bytes while there are at most
-    256 blocks.
+    of the block sizes, whose mean over relabelings is ``rcir_exact`` of the
+    sizes. The k rows take k*n bytes while there are at most 256 blocks.
     Raises ValueError when n < 2, CapExceededError when n > RCIR_EXACT_MAX_N."""
     row = np.asarray(labels)
     n = len(row)
@@ -245,20 +236,31 @@ def _multinomial(sizes: list[int]) -> int:
     return math.prod(map(math.comb, accumulate(sizes), sizes))
 
 
-def _necklace_share(sizes: list[int]) -> Fraction:
-    """Mean share of cyclic shifts fixing a uniformly random arrangement of
-    blocks of the given sizes around the n-cycle, n = sum(sizes).
+def rcir_exact(sizes: Sequence[int]) -> Fraction:
+    """Exact YES probability of the randomized circle protocol on states
+    whose promise blocks have these sizes (``np.bincount`` of
+    ``promise_labels``): its soundness error when there are two blocks or
+    more, and 1 for a single block (a YES instance).
 
-    By Burnside's lemma the fixed (shift, arrangement) pairs are counted per
-    shift order t: a shift of order t cuts the cycle into n/t orbits of
-    length t and fixes the multinomial(n/t; sizes/t) arrangements made of
-    whole orbits when t divides every size, and phi(t) shifts have order t.
-    So the value is sum over t | gcd(sizes) of phi(t) multinomial(n/t;
-    sizes/t), over n multinomial(n; sizes).
+    A uniformly random relabeling places the blocks uniformly over the
+    cycle's arrangements, and under the promise the cyclic-shift test passes
+    with the share of shifts that fix the arrangement. By Burnside's lemma
+    the fixed (shift, arrangement) pairs are counted per shift order t: a
+    shift of order t cuts the n-cycle into n/t orbits of length t and fixes
+    the multinomial(n/t; sizes/t) arrangements made of whole orbits when t
+    divides every size, and phi(t) shifts have order t. So the value is sum
+    over t | gcd(sizes) of phi(t) multinomial(n/t; sizes/t), over
+    n multinomial(n; sizes). With two blocks, r and n - r, this averages
+    s(A)/n over the r-subsets A of the cycle, s(A) the shifts preserving A.
 
-    Raises CapExceededError when n exceeds RCIR_EXACT_MAX_N.
+    Raises ValueError unless the sizes are positive and n = sum(sizes) is
+    at least 2, then CapExceededError when n exceeds RCIR_EXACT_MAX_N.
     """
     n = sum(sizes)
+    if min(sizes, default=0) < 1:
+        raise ValueError(f"block sizes must be positive, got {list(sizes)}")
+    if n < 2:
+        raise ValueError(f"randomized circle needs at least 2 states, got {n}")
     if n > RCIR_EXACT_MAX_N:
         raise CapExceededError(f"exact randomized circle capped at n={RCIR_EXACT_MAX_N}, got {n}")
     g = math.gcd(*sizes)
@@ -266,39 +268,6 @@ def _necklace_share(sizes: list[int]) -> Fraction:
         _totient(t) * _multinomial([sz // t for sz in sizes]) for t in range(1, g + 1) if g % t == 0
     )
     return Fraction(fixed, n * _multinomial(sizes))
-
-
-def rcir_exact(n: int, r: int) -> Fraction:
-    """Exact soundness error of the randomized circle protocol on a two-block
-    instance with r states in the distinguished block.
-
-    Averages s(A)/n over all r-subsets A of the cycle, where s(A) counts the
-    cyclic shifts preserving A: ``_necklace_share`` of the sizes r, n - r.
-
-    Raises ValueError unless 1 <= r <= n - 1, and CapExceededError when n
-    exceeds RCIR_EXACT_MAX_N.
-    """
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"r must be within 1..n-1, got r={r}, n={n}")
-    return _necklace_share([r, n - r])
-
-
-def rcir_exact_for_instance(inst: QsiInstance) -> Fraction:
-    """Exact soundness error of the randomized circle protocol on a promise
-    instance with any number of blocks.
-
-    A uniformly random relabeling places the blocks uniformly over the
-    cycle's arrangements, and under the promise the cyclic-shift test passes
-    with the share of shifts that fix the arrangement, so the value is
-    ``_necklace_share`` of the block sizes. With two blocks it equals
-    ``rcir_exact(n, r)``; with a single block (a YES instance) it is 1.
-
-    Raises ValueError when the instance has no promise partition, and
-    CapExceededError when n exceeds RCIR_EXACT_MAX_N.
-    """
-    if inst.partition is None:
-        raise ValueError("exact evaluation needs the promise partition")
-    return _necklace_share([len(b) for b in inst.partition.blocks])
 
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%

@@ -249,22 +249,23 @@ def criterion_7() -> CriterionResult:
     two_ident = build_instance(Partition.of([[1, 3], [2]]), dim=2)
     all_orth = build_instance(Partition.of([[1], [2], [3]]), dim=3)
     for m in range(1, 7):
-        exact = srs_exact(two_ident, m)
+        exact = srs_exact([2, 1], m)
         q_m = cf[m].q
         q_prev = cf[m - 1].q if m > 1 else Fraction(1)
         if exact != Fraction(2, 3) * q_m + Fraction(1, 3) * q_prev:
             problems.append(f"m={m}: exact {exact} != (2/3)q_m + (1/3)q_(m-1)")
         if exact > Fraction(1, 3) + Fraction(1, 4 ** (m - 1)):
             problems.append(f"m={m}: exact {exact} exceeds 1/3 + 1/4^(m-1)")
-        if srs_exact(build_instance(Partition.of([[1, 2, 3]]), dim=2), m) != 1:
+        if srs_exact([3], m) != 1:
             problems.append(f"m={m}: YES instance not accepted with certainty")
 
     # the kernel the Monte Carlo samples, summed over every pair path
     for blocks in ([[1, 2, 3]], [[1, 2], [3]], [[1, 3], [2]], [[2, 3], [1]], [[1], [2], [3]]):
         inst = build_instance(Partition.of(blocks), dim=3)
+        sizes = [len(b) for b in blocks]
         for m, value in enumerate(srs_path_sum(inst, 12), start=1):
-            if abs(value - float(srs_exact(inst, m))) > 1e-12:
-                problems.append(f"m={m}: {blocks} exact {srs_exact(inst, m)} != path sum {value!r}")
+            if abs(value - float(srs_exact(sizes, m))) > 1e-12:
+                problems.append(f"m={m}: {blocks} exact {srs_exact(sizes, m)} != path sum {value!r}")
 
     # keep-second path on (x, y, x): flat index of y in register 1, 2, 3 is 4, 2, 1,
     # and swaps holds the pairs (1, 2), (1, 3), (2, 3) in rows i + j - 3
@@ -315,7 +316,7 @@ def criterion_8() -> CriterionResult:
         prime = all(n % p for p in range(2, math.isqrt(n) + 1))
         best = Fraction(0)
         for r in range(1, n // 2 + 1):
-            exact = rcir_exact(n, r)
+            exact = rcir_exact([r, n - r])
             bound = eq2_bound(n, r)
             if exact > bound:
                 problems.append(f"n={n} r={r}: exact {exact} exceeds bound {bound}")

@@ -831,7 +831,7 @@ def worst_merge_rcir(inst: QsiInstance) -> Fraction:
         r = sum(sz for i, sz in enumerate(sizes) if pick >> i & 1)
         if 1 <= r <= inst.n - 1:
             achievable.add(min(r, inst.n - r))
-    return max(rcir_exact(inst.n, r) for r in sorted(achievable))
+    return max(rcir_exact([r, inst.n - r]) for r in sorted(achievable))
 
 
 def arrangement_rcir(sizes: list[int]) -> Fraction:

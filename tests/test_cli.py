@@ -278,7 +278,7 @@ class TestProtocolCommand:
         path.write_text(json.dumps({"n": 3, "dim": 2, "states": states}))
         code, _, err = run_cli(capsys, "protocol", "srs", "--exact", "--instance", str(path))
         assert code == 2
-        assert "partition" in err
+        assert "promise" in err
 
     def test_srs_exact_at_round_cap_prints(self, capsys, orth_triple):
         code, out, _ = run_cli(capsys, "protocol", "srs", "--instance", orth_triple,
@@ -308,14 +308,16 @@ class TestProtocolCommand:
             (["rcir", "--n", "200000", "--r", "200000"], 2, "--r"),
             (["rcir", "--n", "5", "--r", "0", "--exact"], 2, "--r"),
             (["rcir", "--n", "200000", "--r", "2"], 3, "--n"),
+            (["rcir", "--instance", "x.json", "--n", "50", "--r", "7", "--exact"], 2, "--n --r"),
+            (["srs", "--instance", "x.json", "--r", "7"], 2, "--r"),
         ],
     )
     def test_bounds_checked_before_any_work(self, capsys, monkeypatch, argv, code, flag):
         def refuse(*args, **kwargs):
-            raise AssertionError("instance loaded or built before the bounds check")
+            raise AssertionError("instance loaded or protocol run before the bounds check")
 
-        monkeypatch.setattr("qsilab.cli._load", refuse)
-        monkeypatch.setattr("qsilab.cli.build_instance", refuse)
+        for name in ("_load", "srs_exact", "rcir_exact", "mc_run"):
+            monkeypatch.setattr(f"qsilab.cli.{name}", refuse)
         got, _, err = run_cli(capsys, "protocol", *argv, "--seed", "1")
         assert got == code
         assert flag in err
@@ -345,6 +347,46 @@ class TestProtocolCommand:
                                "--trials", "200", "--seed", "3")
         assert code == 0
         assert parse_csv(out)[0]["p_hat"] == "1.0"
+
+    def test_one_state_rcir_exits_2_in_both_modes(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "dim": 1, "partition": [[1]]}))
+        for mode in (["--exact"], ["--trials", "10"]):
+            code, out, err = run_cli(capsys, "protocol", "rcir", "--instance", str(path), *mode,
+                                     "--seed", "1")
+            assert code == 2 and out == ""
+            assert "at least 2 states" in err
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[[1, 2, 3]], [[1, 2], [3]], [[1, 3], [2]], [[2, 3], [1]], [[1], [2], [3]],
+         [[1, 3], [2], [4]]],
+    )
+    def test_partition_and_states_forms_give_one_value(self, capsys, tmp_path, blocks):
+        # the same instance as its partition and as its unrotated basis states, no partition
+        n = sum(map(len, blocks))
+        label = {i: k for k, block in enumerate(blocks) for i in block}
+        states = [[[float(label[i] == j), 0.0] for j in range(3)] for i in range(1, n + 1)]
+        part, bare = tmp_path / "partition.json", tmp_path / "states.json"
+        part.write_text(json.dumps({"n": n, "dim": 3, "partition": blocks}))
+        bare.write_text(json.dumps({"n": n, "dim": 3, "states": states}))
+        runs = [["rcir"]] + [["srs", "--m", str(m)] for m in range(1, 5) if n == 3]
+        trials = 20_000
+        for run in runs:
+            values = set()
+            for path in (part, bare):
+                code, out, err = run_cli(capsys, "protocol", *run, "--instance", str(path),
+                                         "--exact")
+                assert code == 0, err
+                values.add(parse_csv(out)[0]["value_rational"])
+            (value,) = values
+            p = float(Fraction(value))
+            for path in (part, bare):
+                code, out, err = run_cli(capsys, "protocol", *run, "--instance", str(path),
+                                         "--trials", str(trials), "--seed", "5")
+                assert code == 0, err
+                p_hat = float(parse_csv(out)[0]["p_hat"])
+                assert abs(p_hat - p) <= 5 * math.sqrt(p * (1 - p) / trials), (run, path.name)
 
     def test_canonical_policy_needs_exact(self, capsys, monkeypatch, orth_triple):
         def refuse(*args, **kwargs):
@@ -433,7 +475,6 @@ class TestSweepCommand:
             raise AssertionError("a row was computed before the cap check")
 
         monkeypatch.setattr("qsilab.cli.srs_exact", refuse)
-        monkeypatch.setattr("qsilab.cli.srs_exact_values", refuse)
         code, _, err = run_cli(capsys, "sweep", "srs-vs-m",
                                "--m-max", str(SRS_EXACT_MAX_M + 1), "--seed", "1")
         assert code == 3
@@ -611,7 +652,8 @@ class TestMain:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the seed check")
 
-        for name in ("_load", "build_instance", "run_all", "two_block_soundness"):
+        for name in ("_load", "srs_exact", "rcir_exact", "mc_run", "run_all",
+                     "two_block_soundness"):
             monkeypatch.setattr(f"qsilab.cli.{name}", refuse)
         if argv == ["selftest"]:
             # selftest takes no --seed: the parser refuses it

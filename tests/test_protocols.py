@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +43,6 @@ from qsilab.protocols import (
     promise_labels,
     rcir_batch,
     rcir_exact,
-    rcir_exact_for_instance,
     srs_batch,
     srs_closed_form,
     srs_exact,
@@ -120,6 +118,11 @@ def branching_srs(inst, m: int, policy: str) -> Fraction:
     return sum((recurse(start, pair, m) for pair in ((1, 2), (1, 3), (2, 3))), Fraction(0)) / 3
 
 
+def _sizes(inst) -> list[int]:
+    """Promise block sizes of an instance, as the CLI passes them to the exact evaluators."""
+    return np.bincount(promise_labels(inst)).tolist()
+
+
 def _sigma_bound(p_hat: float, p: Fraction, trials: int, k: float = 5.0) -> bool:
     sigma = math.sqrt(float(p) * (1 - float(p)) / trials)
     return abs(p_hat - float(p)) <= k * sigma
@@ -147,21 +150,21 @@ class TestSrsClosedForm:
 class TestSrsExact:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_yes_instance_always_accepts(self, m):
-        assert srs_exact(YES3, m) == 1
+        assert srs_exact(_sizes(YES3), m) == 1
 
     @pytest.mark.parametrize("m,expected", sorted(TWO_IDENT_EXACT.items()))
     def test_two_identical_values(self, m, expected):
-        assert srs_exact(TWO_IDENT, m) == expected
+        assert srs_exact(_sizes(TWO_IDENT), m) == expected
 
     @pytest.mark.parametrize("m,expected", sorted(ALL_ORTH_EXACT.items()))
     def test_all_orthogonal_values(self, m, expected):
-        assert srs_exact(ALL_ORTH, m) == expected
+        assert srs_exact(_sizes(ALL_ORTH), m) == expected
 
     def test_all_orthogonal_first_two_rounds_by_hand(self):
         # every pair is orthogonal, so each of the first two rounds passes
         # with probability exactly 1/2 whatever pairs are chosen
-        assert srs_exact(ALL_ORTH, 1) == Fraction(1, 2)
-        assert srs_exact(ALL_ORTH, 2) == Fraction(1, 4)
+        assert srs_exact(_sizes(ALL_ORTH), 1) == Fraction(1, 2)
+        assert srs_exact(_sizes(ALL_ORTH), 2) == Fraction(1, 4)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_two_identical_matches_weighted_cumulative(self, m):
@@ -170,42 +173,42 @@ class TestSrsExact:
         q_prev = srs_closed_form(m - 1).q if m > 1 else Fraction(1)
         weighted = Fraction(2, 3) * q_m + Fraction(1, 3) * q_prev
         assert chain_srs_exact(TWO_IDENT, m) == weighted
-        assert srs_exact(TWO_IDENT, m) == weighted
+        assert srs_exact(_sizes(TWO_IDENT), m) == weighted
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_two_identical_resolved_closed_form(self, m):
         resolved = Fraction(1, 3) + Fraction(1, 3) / 4 ** (m - 1)
         assert chain_srs_exact(TWO_IDENT, m) == resolved
-        assert srs_exact(TWO_IDENT, m) == chain_srs_exact(TWO_IDENT, m)
+        assert srs_exact(_sizes(TWO_IDENT), m) == chain_srs_exact(TWO_IDENT, m)
 
     @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
     def test_matches_chain_oracle(self, blocks):
         # the branching oracle, both policies, is test_matches_uniform_branching_oracle
         inst = build_instance(Partition.of(blocks), dim=3)
         for m in range(1, 41):
-            assert srs_exact(inst, m) == chain_srs_exact(inst, m)
+            assert srs_exact(_sizes(inst), m) == chain_srs_exact(inst, m)
 
     def test_round_cap(self):
-        value = srs_exact(ALL_ORTH, SRS_EXACT_MAX_M)
+        value = srs_exact(_sizes(ALL_ORTH), SRS_EXACT_MAX_M)
         assert value == Fraction(1, 6) + Fraction(1, 3 * 4 ** (SRS_EXACT_MAX_M - 1))
         assert len(str(value.denominator)) <= 4300
         with pytest.raises(CapExceededError, match=f"m={SRS_EXACT_MAX_M}"):
-            srs_exact(ALL_ORTH, SRS_EXACT_MAX_M + 1)
+            srs_exact(_sizes(ALL_ORTH), SRS_EXACT_MAX_M + 1)
 
     def test_checks_rounds_before_the_instance(self):
         with pytest.raises(ValueError, match="round count"):
-            srs_exact(yes_instance(2), 0)
+            srs_exact([2], 0)
         with pytest.raises(CapExceededError):
-            srs_exact(yes_instance(2), SRS_EXACT_MAX_M + 1)
+            srs_exact([2], SRS_EXACT_MAX_M + 1)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_upper_bound(self, m):
         bound = Fraction(1, 3) + Fraction(1, 4 ** (m - 1))
-        assert srs_exact(TWO_IDENT, m) <= bound
-        assert srs_exact(ALL_ORTH, m) <= bound
+        assert srs_exact(_sizes(TWO_IDENT), m) <= bound
+        assert srs_exact(_sizes(ALL_ORTH), m) <= bound
 
     def test_all_orthogonal_nonincreasing_and_small(self):
-        values = [srs_exact(ALL_ORTH, m) for m in range(1, 7)]
+        values = [srs_exact(_sizes(ALL_ORTH), m) for m in range(1, 7)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(v < Fraction(1, 3) for v in values[1:])
 
@@ -219,31 +222,33 @@ class TestSrsExact:
         for inst in shapes:
             for m in range(1, 6):
                 for policy in ("uniform", "canonical"):
-                    assert srs_exact(inst, m) == branching_srs(inst, m, policy)
+                    assert srs_exact(_sizes(inst), m) == branching_srs(inst, m, policy)
 
     @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
     def test_matches_uniform_branching_oracle(self, blocks):
         inst = build_instance(Partition.of(blocks), dim=3)
         for m in range(1, 9):
             for policy in ("uniform", "canonical"):
-                assert srs_exact(inst, m) == branching_srs(inst, m, policy)
+                assert srs_exact(_sizes(inst), m) == branching_srs(inst, m, policy)
 
     def test_two_identical_labelings_agree(self):
         for blocks in ([[1, 2], [3]], [[2, 3], [1]], [[1, 3], [2]]):
             inst = build_instance(Partition.of(blocks), dim=2)
-            assert srs_exact(inst, 3) == TWO_IDENT_EXACT[3]
+            assert srs_exact(_sizes(inst), 3) == TWO_IDENT_EXACT[3]
 
     def test_rotation_invariance(self):
         rotated = build_instance(
             Partition.of([[1, 3], [2]]), dim=2, rotation=haar_unitary(2, 12)
         )
-        assert srs_exact(rotated, 4) == TWO_IDENT_EXACT[4]
+        assert srs_exact(_sizes(rotated), 4) == TWO_IDENT_EXACT[4]
 
     def test_requires_three_states_and_promise(self):
         with pytest.raises(ValueError, match="3 states"):
-            srs_exact(yes_instance(2), 1)
-        with pytest.raises(ValueError, match="partition"):
-            srs_exact(random_unstructured_instance(3, 2, seed=4), 1)
+            srs_exact(_sizes(yes_instance(2)), 1)
+        with pytest.raises(ValueError, match="3 states"):
+            srs_exact([2, 0, 1], 1)
+        with pytest.raises(ValueError, match="promise"):
+            promise_labels(random_unstructured_instance(3, 2, seed=4))
 
     def test_unknown_policy(self, tmp_path, capsys):
         path = tmp_path / "two_ident.json"
@@ -297,7 +302,7 @@ class TestSrsPathSum:
         values = srs_path_sum(inst, SRS_PATH_MAX_M)
         assert values.shape == (SRS_PATH_MAX_M,)
         for m, value in enumerate(values, start=1):
-            assert abs(value - float(srs_exact(inst, m))) <= 1e-12, (blocks, dim, m)
+            assert abs(value - float(srs_exact(_sizes(inst), m))) <= 1e-12, (blocks, dim, m)
 
     @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
     def test_prefixes_are_shorter_runs(self, blocks):
@@ -362,7 +367,7 @@ class TestSrsSample:
             "all_orth": ALL_ORTH,
         }[shape]
         trials = 12_000
-        expected = srs_exact(inst, m)
+        expected = srs_exact(_sizes(inst), m)
         shape_idx = ["two_ident_13", "two_ident_12", "two_ident_23", "all_orth"].index(shape)
         est = mc_run(
             lambda rng, k: srs_batch(inst, m, rng, k),
@@ -388,7 +393,7 @@ class TestRcirSample:
         trials = 20_000
         labels = promise_labels(inst)
         est = mc_run(lambda rng, k: rcir_batch(labels, rng, k), trials, base_seed=99)
-        assert _sigma_bound(est.p_hat, rcir_exact(4, 2), trials)
+        assert _sigma_bound(est.p_hat, rcir_exact([2, 2]), trials)
 
     def test_promise_checked(self):
         with pytest.raises(ValueError, match="promise"):
@@ -416,7 +421,7 @@ class TestSrsBatch:
         inst = build_instance(Partition.of(blocks), dim, haar_unitary(dim, seed=40 + dim))
         trials = 20_000
         for m in (1, 3, 6):
-            expected = srs_exact(inst, m)
+            expected = srs_exact(_sizes(inst), m)
             est = mc_run(lambda rng, k: srs_batch(inst, m, rng, k), trials, base_seed=500 + m)
             assert _sigma_bound(est.p_hat, expected, trials)
 
@@ -545,7 +550,7 @@ class TestRcirBatch:
         inst = build_instance(Partition.of([[1, 4, 7, 10], [2, 5, 8, 11], [3, 6, 9, 12]]), dim=3)
         labels, trials = promise_labels(inst), 20_000
         est = mc_run(lambda rng, k: rcir_batch(labels, rng, k), trials, base_seed=73)
-        assert _sigma_bound(est.p_hat, rcir_exact_for_instance(inst), trials)
+        assert _sigma_bound(est.p_hat, rcir_exact(_sizes(inst)), trials)
 
 
 class TestPromiseLabels:
@@ -628,54 +633,56 @@ def mask_table_rcir(n: int) -> list[Fraction]:
 
 class TestRcirExact:
     def test_examples(self):
-        assert rcir_exact(4, 2) == Fraction(1, 3)
-        assert all(rcir_exact(7, r) == Fraction(1, 7) for r in range(1, 7))
-        assert rcir_exact(12, 6) == Fraction(20, 231)
+        assert rcir_exact([2, 2]) == Fraction(1, 3)
+        assert all(rcir_exact([r, 7 - r]) == Fraction(1, 7) for r in range(1, 7))
+        assert rcir_exact([6, 6]) == Fraction(20, 231)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_subset_oracle(self, n):
         for r in range(1, n):
-            assert rcir_exact(n, r) == brute_rcir(n, r)
+            assert rcir_exact([r, n - r]) == brute_rcir(n, r)
 
     def test_matches_orbit_count_identity(self):
         for n in (14, 16, 18, 20, 24):
             for r in range(1, n // 2 + 1):
-                assert rcir_exact(n, r) == burnside_rcir(n, r)
+                assert rcir_exact([r, n - r]) == burnside_rcir(n, r)
 
     @pytest.mark.parametrize("n", range(13, 21))
     def test_matches_mask_table_oracle(self, n):
         table = mask_table_rcir(n)
         for r in range(1, n):
-            assert rcir_exact(n, r) == table[r]
+            assert rcir_exact([r, n - r]) == table[r]
 
     def test_complement_symmetry(self):
         for n in (4, 6, 9, 12, 15):
             for r in range(1, n):
-                assert rcir_exact(n, r) == rcir_exact(n, n - r)
+                assert rcir_exact([r, n - r]) == rcir_exact([n - r, r])
 
     @pytest.mark.parametrize("n", [5, 7, 11, 13])
     def test_prime_is_exactly_one_over_n(self, n):
-        assert all(rcir_exact(n, r) == Fraction(1, n) for r in range(1, n))
+        assert all(rcir_exact([r, n - r]) == Fraction(1, n) for r in range(1, n))
 
     def test_bounded_by_divisor_sum(self):
         for n in range(2, 13):
             for r in range(1, n // 2 + 1):
-                assert rcir_exact(n, r) <= eq2_bound(n, r)
+                assert rcir_exact([r, n - r]) <= eq2_bound(n, r)
 
     def test_large_n_beyond_mask_table(self):
         # n=26 is beyond a practical 2^n bitmask table, so the orbit count checks it
-        assert rcir_exact(26, 2) == burnside_rcir(26, 2)
+        assert rcir_exact([2, 24]) == burnside_rcir(26, 2)
 
     def test_forty_matches_orbit_count(self):
-        assert rcir_exact(40, 20) == burnside_rcir(40, 20)
+        assert rcir_exact([20, 20]) == burnside_rcir(40, 20)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            rcir_exact(5, 0)
-        with pytest.raises(ValueError):
-            rcir_exact(5, 5)
+        with pytest.raises(ValueError, match="positive"):
+            rcir_exact([0, 5])
+        with pytest.raises(ValueError, match="positive"):
+            rcir_exact([5, 0])
+        with pytest.raises(ValueError, match="at least 2"):
+            rcir_exact([1])
         with pytest.raises(CapExceededError):
-            rcir_exact(RCIR_EXACT_MAX_N + 1, 1)
+            rcir_exact([1, RCIR_EXACT_MAX_N])
 
 
 def _size_tuples(n: int):
@@ -698,14 +705,14 @@ def _consecutive_blocks(sizes) -> Partition:
 class TestRcirExactForInstance:
     def test_two_block_instance(self):
         inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
-        assert rcir_exact_for_instance(inst) == rcir_exact(4, 2)
+        assert rcir_exact(_sizes(inst)) == rcir_exact([2, 2])
 
     def test_multi_block_is_exact_below_worst_merge(self):
-        # the worst two-block merge, max(rcir_exact(6, 2), rcir_exact(6, 3)) = 1/5,
+        # the worst two-block merge, max(rcir_exact([2, 4]), rcir_exact([3, 3])) = 1/5,
         # only bounds the three-block value
         inst = build_instance(Partition.of([[1, 2], [3, 4], [5, 6]]), dim=3)
-        assert worst_merge_rcir(inst) == max(rcir_exact(6, 2), rcir_exact(6, 3)) == Fraction(1, 5)
-        assert rcir_exact_for_instance(inst) == Fraction(8, 45)
+        assert worst_merge_rcir(inst) == max(rcir_exact([2, 4]), rcir_exact([3, 3])) == Fraction(1, 5)
+        assert rcir_exact(_sizes(inst)) == Fraction(8, 45)
 
     @pytest.mark.parametrize(
         "blocks,expected",
@@ -713,34 +720,33 @@ class TestRcirExactForInstance:
     )
     def test_multi_block_examples(self, blocks, expected):
         inst = build_instance(Partition.of(blocks), dim=len(blocks))
-        assert rcir_exact_for_instance(inst) == expected
+        assert rcir_exact(_sizes(inst)) == expected
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_arrangement_oracle(self, n):
         for sizes in _size_tuples(n):
             inst = build_instance(_consecutive_blocks(sizes), dim=len(sizes))
-            exact = rcir_exact_for_instance(inst)
+            exact = rcir_exact(_sizes(inst))
             assert exact == arrangement_rcir(sizes), sizes
             assert exact <= worst_merge_rcir(inst), sizes
             if len(sizes) == 2:
-                assert exact == rcir_exact(n, sizes[1]) == worst_merge_rcir(inst)
+                assert exact == rcir_exact(sizes[::-1]) == worst_merge_rcir(inst)
 
     def test_block_order_and_labels_do_not_matter(self):
         a = build_instance(Partition.of([[1, 5], [2], [3, 4, 6]]), dim=3)
         b = build_instance(_consecutive_blocks([3, 2, 1]), dim=3)
-        assert rcir_exact_for_instance(a) == rcir_exact_for_instance(b) == arrangement_rcir([2, 1, 3])
+        assert rcir_exact(_sizes(a)) == rcir_exact(_sizes(b)) == arrangement_rcir([2, 1, 3])
 
     def test_needs_partition_and_cap(self):
-        with pytest.raises(ValueError, match="partition"):
-            rcir_exact_for_instance(random_unstructured_instance(4, 2, seed=1))
-        # only the partition is read, so a stand-in spares building 10^4 states
-        over = SimpleNamespace(partition=_consecutive_blocks([RCIR_EXACT_MAX_N - 1, 1, 1]))
+        # states that break the promise have no block sizes to evaluate
+        with pytest.raises(ValueError, match="promise"):
+            rcir_exact(_sizes(random_unstructured_instance(4, 2, seed=1)))
         with pytest.raises(CapExceededError, match="capped"):
-            rcir_exact_for_instance(over)
+            rcir_exact([RCIR_EXACT_MAX_N - 1, 1, 1])
 
     def test_rejects_yes_instance(self):
         # a single block is a YES instance: every shift fixes it, as Monte Carlo finds
-        assert rcir_exact_for_instance(yes_instance(4)) == 1
+        assert rcir_exact(_sizes(yes_instance(4))) == 1
 
 
 class TestMcRun:
