@@ -45,17 +45,15 @@ def q_value(n: int, r: int, s: int) -> Fraction:
     return Fraction(math.comb(n // s, r // s), math.comb(n, r)) * Fraction(s, n)
 
 
-def q_case(n: int, r: int, s: int) -> tuple[str, Fraction | None]:
+def q_case(n: int, r: int, s: int) -> tuple[str, Fraction]:
     """The case of the per-divisor bound on q(n, r, s) and its bound, guards in
-    order; ("uncovered", None) between r/3 and r/2. Validate the triple with
-    q_value first, so that no bound divides by zero."""
+    order. s divides r, so r/s is 1, 2 or at least 3 and one case holds.
+    Validate the triple with q_value first, so that no bound divides by zero."""
     if s == r:
         return "s=r", Fraction(2, n * (n - 1))
     if 2 * s == r:
         return "s=r/2", Fraction(6, (n - 1) * (n - 2) * (n - 3))
-    if 3 * s <= r:
-        return "s<=r/3", Fraction(1, n * s * s)
-    return "uncovered", None
+    return "s<=r/3", Fraction(1, n * s * s)
 
 
 def eq2_bound(n: int, r: int) -> Fraction:

@@ -113,7 +113,7 @@ def _cmd_test(args, seed: int) -> tuple[list[str], list[dict], dict]:
         row["p_formula"] = equal_prob_formula(kind, inst)
     if args.mode == "both":
         row["abs_diff"] = abs(row["p_circuit"] - row["p_formula"])
-    if inst.partition is not None:
+    if inst.labels is not None:
         row["p_rational"] = _rat(equal_prob_rational(kind, inst))
     columns = ["kind", "mode", "n", "dim", "p_circuit", "p_formula",
                "p_rational", "abs_diff"]
@@ -248,9 +248,9 @@ def _sweep_qbounds(args) -> list[dict]:
                     "q_rational": _rat(value),
                     "q_float": float(value),
                     "case": case,
-                    "case_bound_rational": _rat(case_bound) if case_bound is not None else None,
-                    "case_bound_float": float(case_bound) if case_bound is not None else None,
-                    "holds": value <= case_bound if case_bound is not None else None,
+                    "case_bound_rational": _rat(case_bound),
+                    "case_bound_float": float(case_bound),
+                    "holds": value <= case_bound,
                 })
     return rows
 

@@ -16,8 +16,10 @@ symmetric plus the antisymmetric projection.
 matrix G, which never touches a dim^n-sized object: perm(G)/n! for the
 permutation test, (perm(G) + det(G))/n! for the alternation test, and the
 mean of the n shifted-diagonal products of G for the swap and circle tests.
-For promise-structured instances `equal_prob_rational` gives the probability
-as an exact fraction in closed form from the block structure.
+For states that keep the promise `equal_prob_rational` gives the exact
+fraction in closed form from the label row they define
+(``QsiInstance.labels``): its block sizes, or for swap and circle the cyclic
+shifts that fix it (``fixed_shifts``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 
 from .instances import QsiInstance
 from .limits import CIRCLE_FORMULA_MAX_N, SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
-from .permgroup import fixed_shifts
 
 #: EQUAL probabilities below this count as unreachable and are reported as 0.
 MEASURE_EPS = 1e-14
@@ -179,8 +180,25 @@ def equal_prob_formula(kind: TestKind, inst: QsiInstance) -> float:
     return float(p.real)
 
 
+def fixed_shifts(rows: np.ndarray, g: int) -> np.ndarray:
+    """Number of cyclic shifts that fix each row of a (k, n) label array.
+
+    The shifts fixing a row form a cyclic group whose order divides the gcd
+    of its block sizes. So for any divisor g of n that the order divides
+    (that gcd, or n itself) the count is the largest t | g for which the row
+    repeats with period n/t, and 1 when g = 1.
+    """
+    n = rows.shape[1]
+    fixed = np.ones(len(rows), dtype=int)
+    for t in range(2, g + 1):
+        if g % t == 0:
+            s = n // t
+            fixed[(rows[:, s:] == rows[:, :-s]).all(axis=1)] = t
+    return fixed
+
+
 def equal_prob_rational(kind: TestKind, inst: QsiInstance) -> Fraction:
-    """Exact EQUAL probability for a promise-structured instance.
+    """Exact EQUAL probability for an instance whose states keep the promise.
 
     Each group element contributes 1 when it maps every block onto itself
     and 0 otherwise, so the probability is the stabilizer's share of the
@@ -189,16 +207,17 @@ def equal_prob_rational(kind: TestKind, inst: QsiInstance) -> Fraction:
     so exactly half of it is even and the alternating group gives the same
     share; with every block a singleton only the identity is left, 2/n!. The
     swap and circle tests give the number of cyclic shifts that fix the
-    block labels, ``fixed_shifts``, over n.
+    block labels, ``fixed_shifts``, over n. Raises ValueError when the
+    states break the promise (``QsiInstance.labels`` is None).
     """
-    if inst.partition is None:
+    labels = inst.labels
+    if labels is None:
         raise ValueError("exact probability needs a promise-structured instance")
     n = inst.n
     _check_kind_n(kind, n)
-    sizes = [len(b) for b in inst.partition.blocks]
+    sizes = np.bincount(labels).tolist()
     if kind in (TestKind.SWAP, TestKind.CIRCLE):
-        labels = np.array([inst.partition.labels()])
-        return Fraction(int(fixed_shifts(labels, gcd(*sizes))[0]), n)
+        return Fraction(int(fixed_shifts(labels[None], gcd(*sizes))[0]), n)
     if kind is TestKind.ALTERNATION and max(sizes) == 1:
         return Fraction(2, factorial(n))
     return Fraction(prod(factorial(size) for size in sizes), factorial(n))

@@ -3,29 +3,31 @@
 An instance is n pure states of a common dimension d, held as the rows of
 one read-only (n, d) complex array: the Gram matrix, the QR factorization of
 the sequential swap kernel and the circuit's product state all come from
-that matrix. The pairwise inner products are promised to have modulus 0 or
-1; the promise structure is carried by a partition of the index set (states
-share a block iff they are equal). Unstructured instances (arbitrary states,
-no partition) are allowed for the closed-form probability oracle but are
-rejected by the protocol runners.
+that matrix, and so does the promise structure. The pairwise inner products
+are promised to have modulus 0 or 1, and ``QsiInstance.labels`` reads the
+blocks of equal states off one Gram matrix, on first use, as an integer
+label row; it is None when the states break the promise. Such unstructured
+instances are allowed for the Gram-matrix formula but have no exact value
+and are rejected by the protocol runners. A file may give the blocks
+instead of the states, and ``build_instance`` turns a label row into states.
 
 `load_instance` decodes each distinct file text once per process and hands
 the same instance to every later load of that text, from any path. Sharing
-is safe because an instance cannot change: `QsiInstance` and `Partition` are
-frozen and the states array is read-only. Decoding reads nothing but the
-text, and a text that fails to decode is not cached, so it fails every time.
+is safe because an instance cannot change: `QsiInstance` is frozen, the
+states array and the labels row are read-only, and the labels are a function
+of the states. Decoding reads nothing but the text, and a text that fails to
+decode is not cached, so it fails every time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
-
-from .permgroup import Partition
 
 #: Construction-time tolerance on state norms.
 NORM_ATOL = 1e-9
@@ -38,10 +40,9 @@ UNITARY_ATOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class QsiInstance:
     """n pure states of a common dimension d, the rows of a read-only (n, d)
-    complex array, optionally promise-structured."""
+    complex array."""
 
     states: np.ndarray
-    partition: Partition | None = None
 
     def __post_init__(self) -> None:
         states = np.array(self.states, dtype=complex)
@@ -56,28 +57,6 @@ class QsiInstance:
             raise ValueError(f"state {i + 1} has norm {norms[i]:.12g}, expected 1")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
-        dim = states.shape[1]
-        if self.partition is not None:
-            part = self.partition
-            if part.n != len(states):
-                raise ValueError(
-                    f"partition is over {part.n} indices but instance has {len(states)} states"
-                )
-            if dim < part.block_count:
-                raise ValueError(
-                    f"dim {dim} is too small for {part.block_count} orthogonal blocks"
-                )
-            labels = np.array(part.labels())
-            want = labels[:, None] == labels
-            mod = np.abs(self.gram())
-            np.fill_diagonal(mod, 1.0)  # self-overlaps are not held to the promise
-            bad = np.abs(mod - want) > PROMISE_ATOL
-            if bad.any():
-                i, j = np.argwhere(np.triu(bad | bad.T))[0]
-                raise ValueError(
-                    f"promise violated at pair ({i + 1},{j + 1}): |<i|j>|={mod[i, j]:.3g}, "
-                    f"expected {want[i, j]:d}"
-                )
 
     @property
     def n(self) -> int:
@@ -91,20 +70,36 @@ class QsiInstance:
         """Matrix of inner products G[i, j] = <state_i | state_j>."""
         return self.states.conj() @ self.states.T
 
+    @cached_property
+    def labels(self) -> np.ndarray | None:
+        """Block label of each state as a read-only integer row: the classes
+        of equal states (inner-product modulus 1) numbered by first member.
+        None when some modulus is neither 0 nor 1, the promise broken. Read
+        off one Gram matrix the first time it is asked for."""
+        mod = np.abs(self.gram())
+        np.fill_diagonal(mod, 1.0)  # self-overlaps are not held to the promise
+        equal = np.abs(mod - 1.0) <= PROMISE_ATOL
+        if not (equal | (mod <= PROMISE_ATOL)).all():
+            return None
+        first = equal.argmax(axis=0)  # each state's first equal state
+        labels = np.cumsum(first == np.arange(len(first)))[first] - 1
+        labels.setflags(write=False)
+        return labels
+
 
 def build_instance(
-    partition: Partition, dim: int, rotation: np.ndarray | None = None
+    labels: Sequence[int], dim: int, rotation: np.ndarray | None = None
 ) -> QsiInstance:
-    """Canonical instance for a partition: block i is embedded as basis state e_i.
+    """Canonical instance for a label row: the states labelled i are basis
+    state e_i.
 
     An optional unitary rotation is applied to every state, which changes the
-    basis but not the promise structure: block i becomes column i of the
+    basis but not the promise structure: label i becomes column i of the
     rotation.
     """
-    if dim < partition.block_count:
-        raise ValueError(
-            f"dim {dim} too small: partition has {partition.block_count} blocks"
-        )
+    blocks = max(labels, default=-1) + 1
+    if dim < blocks:
+        raise ValueError(f"dim {dim} too small: partition has {blocks} blocks")
     if rotation is not None:
         rotation = np.asarray(rotation, dtype=complex)
         if rotation.shape != (dim, dim):
@@ -113,17 +108,7 @@ def build_instance(
         if defect > UNITARY_ATOL:
             raise ValueError(f"rotation is not unitary (defect {defect:.3g})")
     basis = np.eye(dim, dtype=complex) if rotation is None else rotation.T
-    return QsiInstance(basis[list(partition.labels())], partition)
-
-
-def equal_pairs(inst: QsiInstance) -> np.ndarray | None:
-    """Mask of the state pairs whose inner product has modulus 1, the diagonal
-    included, or None when some modulus is neither 0 nor 1: the promise
-    check from the states alone, on one Gram matrix."""
-    mod = np.abs(inst.gram())
-    np.fill_diagonal(mod, 1.0)
-    equal = np.abs(mod - 1.0) <= PROMISE_ATOL
-    return equal if (equal | (mod <= PROMISE_ATOL)).all() else None
+    return QsiInstance(basis[list(labels)])
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -142,21 +127,17 @@ def random_structured_instance(
     dim: int | None = None,
     max_blocks: int | None = None,
 ) -> QsiInstance:
-    """Seeded random promise instance: random partition, optional Haar rotation."""
+    """Seeded random promise instance: random labels, numbered by first
+    appearance, and an optional Haar rotation."""
     rng = np.random.default_rng(seed)
     block_count = int(rng.integers(1, min(max_blocks or n, n) + 1))
     labels = [int(v) for v in rng.integers(0, block_count, size=n)]
     order: dict[int, int] = {}
     for lab in labels:
         order.setdefault(lab, len(order))
-    labels = [order[lab] for lab in labels]
-    blocks: list[set[int]] = [set() for _ in range(len(order))]
-    for i, lab in enumerate(labels, start=1):
-        blocks[lab].add(i)
-    part = Partition(n, tuple(frozenset(b) for b in blocks))
-    d = max(dim or 0, part.block_count)
+    d = max(dim or 0, len(order))
     rotation = haar_unitary(d, int(rng.integers(0, 2**31))) if rotate else None
-    return build_instance(part, d, rotation)
+    return build_instance([order[lab] for lab in labels], d, rotation)
 
 
 def random_unstructured_instance(n: int, dim: int, seed: int) -> QsiInstance:
@@ -168,7 +149,7 @@ def random_unstructured_instance(n: int, dim: int, seed: int) -> QsiInstance:
     """
     draws = np.random.default_rng(seed).standard_normal((n, 2, dim))
     z = draws[:, 0] + 1j * draws[:, 1]
-    return QsiInstance(np.array([row / float(np.linalg.norm(row)) for row in z]), None)
+    return QsiInstance(np.array([row / float(np.linalg.norm(row)) for row in z]))
 
 
 def _integer(value, what: str) -> int:
@@ -187,7 +168,10 @@ def instance_from_json(obj) -> QsiInstance:
     Unstructured form: {"n": int, "dim": int, "states": [[[re, im], ...], ...]}
 
     n, dim, the partition entries and rotation_seed must be integers, and an
-    object may not carry both a partition and states.
+    object may not carry both a partition and states. The blocks must be
+    nonempty, disjoint and cover 1..n; the members of the i-th block listed
+    get label i, so that they become basis state e_i, or column i of the
+    rotation.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
@@ -210,7 +194,18 @@ def instance_from_json(obj) -> QsiInstance:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed partition or rotation_seed: {exc}") from exc
         rotation = None if seed is None else haar_unitary(dim, seed)
-        return build_instance(Partition(n, blocks), dim, rotation)
+        if not all(blocks):
+            raise ValueError("partition blocks must be nonempty")
+        union = frozenset().union(*blocks)
+        if sum(map(len, blocks)) != len(union):
+            raise ValueError("partition blocks must be disjoint")
+        if union != set(range(1, n + 1)):
+            raise ValueError(f"blocks must cover 1..{n} exactly, got {sorted(union)}")
+        labels = [0] * n
+        for label, block in enumerate(blocks):
+            for i in block:
+                labels[i - 1] = label
+        return build_instance(labels, dim, rotation)
     if "states" in obj:
         try:
             raw = np.array(obj["states"], dtype=float)
@@ -222,7 +217,7 @@ def instance_from_json(obj) -> QsiInstance:
             raise ValueError(f"expected {n} states, got {len(raw)}")
         if raw.shape[1] != dim:
             raise ValueError(f"state length {raw.shape[1]} != dim {dim}")
-        return QsiInstance(raw.view(complex)[..., 0], None)
+        return QsiInstance(raw.view(complex)[..., 0])
     raise ValueError("instance JSON needs either 'partition' or 'states'")
 
 

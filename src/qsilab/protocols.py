@@ -2,7 +2,10 @@
 
 Two protocols are implemented, each as a batch of sampled runs with
 measurement collapse and as an exact-probability evaluator of the promise
-block sizes, the only part of an instance the exact value depends on:
+block sizes, the only part of an instance the exact value depends on. The
+blocks are those the states define: ``promise_labels`` is the instance's
+label row (``QsiInstance.labels``, read off its Gram matrix), and the sizes
+are its ``np.bincount``:
 
 * sequential random swap on three states: m rounds of swap tests on
   classically chosen register pairs, collapsing the joint state between
@@ -32,9 +35,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .instances import QsiInstance, equal_pairs
+from .identity_tests import fixed_shifts
+from .instances import QsiInstance
 from .limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M, SRS_PATH_MAX_M, CapExceededError
-from .permgroup import fixed_shifts
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -161,8 +164,7 @@ def srs_path_sum(inst: QsiInstance, m: int) -> np.ndarray:
 
 def srs_exact(sizes: Sequence[int], m: int) -> Fraction:
     """Exact YES probability of the m-round sequential swap protocol on three
-    states whose promise blocks have these sizes (``np.bincount`` of
-    ``promise_labels``).
+    states whose promise blocks have these sizes.
 
     With b blocks the value is 1 when b = 1, and 1/3 or 1/6 plus
     1/(3 * 4^(m-1)) when b = 2 or 3: the weight of the state's symmetric
@@ -185,16 +187,12 @@ def srs_exact(sizes: Sequence[int], m: int) -> Fraction:
     return Fraction(1, 3 * (len(sizes) - 1)) + Fraction(1, 3 * 4 ** (m - 1))
 
 
-def promise_labels(inst: QsiInstance) -> tuple[int, ...]:
-    """Block label of each state: the partition's, checked by the constructor,
-    or the classes of ``equal_pairs`` numbered by first member, from one Gram
-    matrix. Raises ValueError when the states break the promise."""
-    if inst.partition is not None:
-        return inst.partition.labels()
-    equal = equal_pairs(inst)
-    if equal is None:
+def promise_labels(inst: QsiInstance) -> np.ndarray:
+    """The instance's block labels (``QsiInstance.labels``); raises
+    ValueError when the states break the promise."""
+    if inst.labels is None:
         raise ValueError("instance violates the equal-or-orthogonal promise")
-    return tuple(np.unique(equal.argmax(axis=0), return_inverse=True)[1].tolist())
+    return inst.labels
 
 
 def rcir_batch(labels: Sequence[int], rng: np.random.Generator, k: int) -> np.ndarray:
@@ -238,9 +236,8 @@ def _multinomial(sizes: list[int]) -> int:
 
 def rcir_exact(sizes: Sequence[int]) -> Fraction:
     """Exact YES probability of the randomized circle protocol on states
-    whose promise blocks have these sizes (``np.bincount`` of
-    ``promise_labels``): its soundness error when there are two blocks or
-    more, and 1 for a single block (a YES instance).
+    whose promise blocks have these sizes: its soundness error when there
+    are two blocks or more, and 1 for a single block (a YES instance).
 
     A uniformly random relabeling places the blocks uniformly over the
     cycle's arrangements, and under the promise the cyclic-shift test passes

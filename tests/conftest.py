@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qsilab.instances import build_instance
-from qsilab.permgroup import Partition
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -22,16 +21,15 @@ def _subprocesses_import_src():
 
 def two_block(n: int, l: int, dim: int = 2, rotation=None):
     """Canonical two-block instance: first l indices equal, rest orthogonal."""
-    part = Partition.of([list(range(1, l + 1)), list(range(l + 1, n + 1))])
-    return build_instance(part, dim, rotation)
+    return build_instance([0] * l + [1] * (n - l), dim, rotation)
 
 
 def yes_instance(n: int, dim: int = 2):
-    return build_instance(Partition.of([list(range(1, n + 1))]), dim)
+    return build_instance([0] * n, dim)
 
 
 def all_orthogonal(n: int):
-    return build_instance(Partition.of([[i] for i in range(1, n + 1)]), dim=n)
+    return build_instance(list(range(n)), dim=n)
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

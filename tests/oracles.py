@@ -12,26 +12,31 @@ random numbers, so their verdicts agree exactly. Likewise
 ``rcir_batch`` compares integer label rows, on the same draws.
 ``repetition_set`` collects the shifts that map an ``Alignment`` (a
 two-block placement around the cycle) onto itself one set at a time, where
-``qsilab.permgroup.fixed_shifts`` compares label rows at the divisors of a
-gcd. ``srs_canonical_trace`` evolves the sequential swap state with integer
-amplitudes over block labels, where ``qsilab.protocols`` runs one float
-kernel, and ``loop_promise_error`` checks the promise one ``inner`` product
-at a time, where ``QsiInstance`` compares the Gram matrix once. The
-permutation objects, the symmetric-group table with its signs and stabilizer
-counts, the dense symmetric projector, the alignment builders,
-``pure_density`` and ``inner`` are test-side helpers that the package itself
-does not need. So are the validated state objects: ``JointState`` (a
-normalized state over several registers, which ``measure_first_register``
-and ``dense_run_circuit`` return where ``run_circuit`` returns the raw EQUAL
-branch), ``tensor``, and ``DensityMatrix``, ``mixture`` and
-``trace_distance``, the general route to the one 4 x 4 trace distance that
-``qsilab.bounds.two_sided_gap_check`` computes directly. A single pure
-state here is a plain 1-D complex array, as a row of ``QsiInstance.states``
-is. ``verify_promise`` classifies an instance as all-equal, equal-or-
-orthogonal or promise-breaking from its states, where the package only needs
-``equal_pairs``; ``loop_unstructured_states`` and ``loop_rotated_states``
-build instance states one at a time, the way ``random_unstructured_instance``
-and ``build_instance`` are pinned to reproduce bit for bit.
+``qsilab.identity_tests.fixed_shifts`` compares label rows at the divisors
+of a gcd. ``srs_canonical_trace`` evolves the sequential swap state with
+integer amplitudes over block labels, where ``qsilab.protocols`` runs one
+float kernel, and ``loop_promise_error`` checks the states against a
+``Partition`` one ``inner`` product at a time, where ``QsiInstance.labels``
+reads the blocks off the Gram matrix once. ``Partition`` (disjoint nonempty
+blocks of 1-based indices, in a meaningful order) is the block-list form of
+a label row: tests write instances as blocks, and ``Partition.labels`` gives
+the row that ``build_instance`` takes. The permutation objects, the
+symmetric-group table with its signs and stabilizer counts, the dense
+symmetric projector, the alignment builders, ``pure_density`` and ``inner``
+are test-side helpers that the package itself does not need. So are the
+validated state objects: ``JointState`` (a normalized state over several
+registers, which ``measure_first_register`` and ``dense_run_circuit`` return
+where ``run_circuit`` returns the raw EQUAL branch), ``tensor``, and
+``DensityMatrix``, ``mixture`` and ``trace_distance``, the general route to
+the one 4 x 4 trace distance that ``qsilab.bounds.two_sided_gap_check``
+computes directly. A single pure state here is a plain 1-D complex array, as
+a row of ``QsiInstance.states`` is. ``verify_promise`` classifies an
+instance as all-equal, equal-or-orthogonal or promise-breaking from
+``equal_pairs``, the mask of equal state pairs, which is the oracle for when
+``QsiInstance.labels`` is None; ``loop_unstructured_states`` and
+``loop_rotated_states`` build instance states one at a time, the way
+``random_unstructured_instance`` and ``build_instance`` are pinned to
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations as _lex_permutations
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,15 +59,8 @@ from qsilab.identity_tests import (
     equal_prob_formula,
     run_circuit,
 )
-from qsilab.instances import (
-    NORM_ATOL,
-    PROMISE_ATOL,
-    QsiInstance,
-    build_instance,
-    equal_pairs,
-)
+from qsilab.instances import NORM_ATOL, PROMISE_ATOL, QsiInstance, build_instance
 from qsilab.limits import SYM_ENUM_MAX_N, CapExceededError, max_amplitudes
-from qsilab.permgroup import Partition
 from qsilab.protocols import rcir_exact
 
 _FORMULA_CHUNK = 200_000
@@ -82,6 +80,65 @@ _RCIR_CIRCUIT_MAX_N = 10
 GroupName = Literal["sym", "alt"]
 
 
+@dataclass(frozen=True)
+class Partition:
+    """Disjoint nonempty blocks covering {1..n}; block order is meaningful."""
+
+    n: int
+    blocks: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        blocks = tuple(frozenset(int(i) for i in b) for b in self.blocks)
+        if any(not b for b in blocks):
+            raise ValueError("partition blocks must be nonempty")
+        union: set[int] = set()
+        total = 0
+        for b in blocks:
+            union |= b
+            total += len(b)
+        if total != len(union):
+            raise ValueError("partition blocks must be disjoint")
+        if union != set(range(1, self.n + 1)):
+            raise ValueError(f"blocks must cover 1..{self.n} exactly, got {sorted(union)}")
+        object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
+        """Build a partition of {1..n} where n is the total element count."""
+        blocks = tuple(tuple(b) for b in blocks)
+        n = sum(len(b) for b in blocks)
+        return cls(n, tuple(frozenset(b) for b in blocks))
+
+    @property
+    def block_count(self) -> int:
+        return len(self.blocks)
+
+    def labels(self) -> tuple[int, ...]:
+        """0-based block index of each element 1..n."""
+        lab = [0] * self.n
+        for idx, b in enumerate(self.blocks):
+            for i in b:
+                lab[i - 1] = idx
+        return tuple(lab)
+
+
+def first_member_labels(labels: Sequence[int]) -> list[int]:
+    """The label row renumbered so that classes count up in order of their
+    first member, the numbering ``QsiInstance.labels`` uses."""
+    order: dict[int, int] = {}
+    return [order.setdefault(lab, len(order)) for lab in labels]
+
+
+def equal_pairs(inst: QsiInstance) -> np.ndarray | None:
+    """Mask of the state pairs whose inner product has modulus 1, the diagonal
+    included, or None when some modulus is neither 0 nor 1: the promise
+    check from the states alone, on one Gram matrix."""
+    mod = np.abs(inst.gram())
+    np.fill_diagonal(mod, 1.0)
+    equal = np.abs(mod - 1.0) <= PROMISE_ATOL
+    return equal if (equal | (mod <= PROMISE_ATOL)).all() else None
+
+
 class Verdict(Enum):
     YES_INSTANCE = "yes"
     NO_INSTANCE = "no"
@@ -89,10 +146,7 @@ class Verdict(Enum):
 
 
 def verify_promise(inst: QsiInstance) -> Verdict:
-    """Classify the states: all equal, equal-or-orthogonal, or promise-breaking.
-
-    Works from the states alone; the partition field is not consulted.
-    """
+    """Classify the states: all equal, equal-or-orthogonal, or promise-breaking."""
     equal = equal_pairs(inst)
     if equal is None:
         return Verdict.VIOLATED
@@ -111,10 +165,10 @@ def loop_unstructured_states(n: int, dim: int, seed: int) -> np.ndarray:
     return np.array(states)
 
 
-def loop_rotated_states(part: Partition, rotation: np.ndarray) -> np.ndarray:
+def loop_rotated_states(labels: Sequence[int], rotation: np.ndarray) -> np.ndarray:
     """Rotated ``build_instance`` states one column at a time: the state of
     index i is the column of the rotation at i's block label."""
-    return np.array([rotation[:, label] for label in part.labels()])
+    return np.array([rotation[:, label] for label in labels])
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,8 +449,7 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
 def loop_promise_error(states: Sequence[np.ndarray], part: Partition) -> str | None:
     """The message of the first pair, in row-major order, whose inner-product
     modulus is off its promised value (1 within a block, 0 across), or None:
-    one ``inner`` call per pair, where ``QsiInstance`` compares the Gram
-    matrix against the block mask."""
+    one ``inner`` call per pair."""
     labels = part.labels()
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -484,7 +537,7 @@ def instance_from_alignment(
     a: Alignment, dim: int = 2, rotation: np.ndarray | None = None
 ) -> QsiInstance:
     """Canonical instance whose equal/orthogonal structure follows the alignment."""
-    return build_instance(partition_from_alignment(a), dim, rotation)
+    return build_instance(partition_from_alignment(a).labels(), dim, rotation)
 
 
 def dft(n: int) -> np.ndarray:
@@ -737,17 +790,15 @@ def srs_canonical_trace(
     halving normalization is dropped, which only rescales).
 
     Raises ValueError, checked in this order, when m < 1, when the instance
-    does not have exactly 3 states, and when it has no promise partition. A
-    partition implies the promise, which ``QsiInstance`` enforces, so an
-    instance whose states break the promise reports the missing partition.
+    does not have exactly 3 states, and when its states break the promise.
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
     if inst.n != 3:
         raise ValueError(f"protocol is defined on exactly 3 states, got {inst.n}")
-    if inst.partition is None:
-        raise ValueError("exact evaluation needs the promise partition")
-    labels = inst.partition.labels()
+    if inst.labels is None:
+        raise ValueError("instance violates the equal-or-orthogonal promise")
+    labels = inst.labels.tolist()
     b = max(labels) + 1
     state = {labels[0] * b * b + labels[1] * b + labels[2]: 1}
     pair = first_pair
@@ -808,24 +859,13 @@ def per_trial_srs_batch(
 
 def permuted_instance(inst: QsiInstance, tau: np.ndarray) -> QsiInstance:
     """Relabel states so position j holds the state formerly at tau[j]."""
-    states = inst.states[np.asarray(tau, dtype=np.intp)]
-    partition = None
-    if inst.partition is not None:
-        old_labels = inst.partition.labels()
-        new_labels = [old_labels[int(t)] for t in tau]
-        blocks: dict[int, set[int]] = {}
-        for pos, lab in enumerate(new_labels, start=1):
-            blocks.setdefault(lab, set()).add(pos)
-        partition = Partition(
-            inst.n, tuple(frozenset(b) for b in blocks.values())
-        )
-    return QsiInstance(states, partition)
+    return QsiInstance(inst.states[np.asarray(tau, dtype=np.intp)])
 
 
 def worst_merge_rcir(inst: QsiInstance) -> Fraction:
     """Largest two-block soundness error over the merges of the blocks into
     two groups: an upper bound on the multi-block value, exact on two blocks."""
-    sizes = [len(b) for b in inst.partition.blocks]
+    sizes = np.bincount(inst.labels).tolist()
     achievable: set[int] = set()
     for pick in range(1, 1 << len(sizes)):
         r = sum(sz for i, sz in enumerate(sizes) if pick >> i & 1)

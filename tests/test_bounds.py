@@ -31,7 +31,6 @@ from qsilab.instances import (
     random_unstructured_instance,
 )
 from qsilab.limits import RCIR_EXACT_MAX_N, CapExceededError
-from qsilab.permgroup import Partition
 
 
 class TestTwoBlockSoundness:
@@ -98,7 +97,8 @@ class TestQBoundCheck:
         assert q_case(12, 6, 3) == ("s=r/2", Fraction(6, 990))
         assert q_case(8, 4, 4) == ("s=r", Fraction(2, 56))
         assert q_case(18, 9, 3) == ("s<=r/3", Fraction(1, 162))
-        assert q_case(10, 5, 2) == ("uncovered", None)  # 2 does not divide 5
+        with pytest.raises(ValueError, match="must divide"):
+            q_value(10, 5, 2)  # 2 does not divide 5, so q_case is not asked
 
     def test_examples_hold(self):
         assert q_value(12, 6, 3) <= q_case(12, 6, 3)[1]  # 1/616 <= 6/990
@@ -106,19 +106,13 @@ class TestQBoundCheck:
         assert q_value(18, 9, 3) <= q_case(18, 9, 3)[1]
 
     def test_grid_holds_everywhere(self):
-        uncovered = 0
+        # every divisor s of r is <= r/3, = r/2, or = r, so every triple has a case
         for n in range(4, 31):
             for r in range(1, n // 2 + 1):
                 for s in range(2, r + 1):
                     if n % s or r % s:
                         continue
-                    value, bound = q_value(n, r, s), q_case(n, r, s)[1]
-                    if bound is None:
-                        uncovered += 1
-                    else:
-                        assert value <= bound, (n, r, s)
-        # every divisor s of r is <= r/3, = r/2, or = r, so nothing is uncovered
-        assert uncovered == 0
+                    assert q_value(n, r, s) <= q_case(n, r, s)[1], (n, r, s)
 
 
 class TestEq2Bound:
@@ -203,7 +197,7 @@ class TestPsLowerBound:
         assert ps_lower_bound(yes_instance(4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_worst_case_no_instance(self):
-        inst = build_instance(Partition.of([[1], [2, 3]]), dim=2)
+        inst = build_instance([0, 1, 1], dim=2)
         assert ps_lower_bound(inst) == pytest.approx(1 / 3, abs=1e-14)
 
     def test_all_orthogonal_three(self):

@@ -10,7 +10,7 @@ import pytest
 
 from qsilab import selftest
 from qsilab.cli import _build_parser, main
-from qsilab.instances import _decode
+from qsilab.instances import QsiInstance, _decode, instance_from_json, random_unstructured_instance
 from qsilab.limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M
 
 
@@ -158,6 +158,54 @@ class TestTestCommand:
         code, out, err = run_cli(capsys, "test", "--kind", kind, "--instance", str(path), *extra)
         assert code == 3
         assert out == "" and err == f"error: {cap}\n"
+
+    def test_refused_load_builds_no_gram_matrix(self, capsys, tmp_path, monkeypatch):
+        # the labels are read off the Gram matrix only when a command asks for them
+        def refuse(inst):
+            raise AssertionError("Gram matrix built")
+
+        path = tmp_path / "n30.json"
+        path.write_text(json.dumps({"n": 30, "dim": 2, "partition": [list(range(1, 16)),
+                                                                     list(range(16, 31))]}))
+        _decode.cache_clear()
+        monkeypatch.setattr(QsiInstance, "gram", refuse)
+        code, out, err = run_cli(capsys, "test", "--kind", "circle", "--instance", str(path))
+        assert code == 3
+        assert out == "" and err == "error: circle test capped at n=24, got 30\n"
+
+    def test_empty_partition_exits_2_naming_the_shape(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "dim": 2, "partition": []}))
+        code, out, err = run_cli(capsys, "test", "--kind", "circle", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot load instance {path}: states must be a non-empty "
+                       "(n, dim) array, got shape (0, 2)\n")
+
+    def test_states_only_promise_file_prints_p_rational(self, capsys, tmp_path):
+        # p_rational comes from the labels the states define, so a states-only copy
+        # of a rotated partition file prints the file's value; Gaussian states print none
+        def as_states(states):
+            return {"n": len(states), "dim": states.shape[1],
+                    "states": [[[a.real, a.imag] for a in row] for row in states.tolist()]}
+
+        partition = {"n": 4, "dim": 3, "partition": [[2, 4], [1], [3]], "rotation_seed": 8}
+        files = {}
+        for name, payload in (
+            ("partition", partition),
+            ("states", as_states(instance_from_json(partition).states)),
+            ("gaussian", as_states(random_unstructured_instance(4, 3, seed=2).states)),
+        ):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(payload))
+        for kind in ("circle", "permutation", "alternation"):
+            cells = {}
+            for name, path in files.items():
+                code, out, err = run_cli(capsys, "test", "--kind", kind, "--instance", str(path),
+                                         "--mode", "formula", "--seed", "1")
+                assert code == 0, err
+                cells[name] = parse_csv(out)[0]["p_rational"]
+            want = {"circle": "1/4", "permutation": "1/12", "alternation": "1/12"}[kind]
+            assert cells == {"partition": want, "states": want, "gaussian": ""}, kind
 
     @pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
     def test_bad_amplitude_budget_exits_2_naming_it(self, capsys, orth_pair, monkeypatch, raw):

@@ -9,13 +9,17 @@ import qsilab
 from conftest import all_orthogonal, basis_state, two_block, unit, yes_instance
 from oracles import (
     Alignment,
+    Partition,
     Verdict,
     alignment_from_pattern,
+    equal_pairs,
+    first_member_labels,
     instance_from_alignment,
     loop_promise_error,
     loop_rotated_states,
     loop_unstructured_states,
     partition_from_alignment,
+    permuted_instance,
     verify_promise,
 )
 from qsilab.instances import (
@@ -28,7 +32,7 @@ from qsilab.instances import (
     random_structured_instance,
     random_unstructured_instance,
 )
-from qsilab.permgroup import Partition
+from qsilab.protocols import promise_labels
 
 
 def selftest_unstructured_cases():
@@ -47,34 +51,34 @@ def selftest_unstructured_cases():
 def assert_matches_per_state_construction(n: int, dim: int, seed: int) -> None:
     got = random_unstructured_instance(n, dim, seed).states
     assert np.array_equal(got, loop_unstructured_states(n, dim, seed))
-    part = random_structured_instance(n, seed, max_blocks=3).partition
-    rotation = haar_unitary(max(dim, part.block_count), seed)
-    got = build_instance(part, len(rotation), rotation).states
-    assert np.array_equal(got, loop_rotated_states(part, rotation))
+    labels = random_structured_instance(n, seed, max_blocks=3).labels
+    rotation = haar_unitary(max(dim, max(labels) + 1), seed)
+    got = build_instance(labels, len(rotation), rotation).states
+    assert np.array_equal(got, loop_rotated_states(labels, rotation))
 
 
 class TestBuildInstance:
     def test_single_block_dim_one(self):
-        inst = build_instance(Partition.of([[1, 2, 3]]), dim=1)
+        inst = build_instance([0, 0, 0], dim=1)
         assert np.array_equal(inst.states, np.ones((3, 1)))
         assert verify_promise(inst) is Verdict.YES_INSTANCE
 
     def test_canonical_embedding(self):
-        inst = build_instance(Partition.of([[1, 2], [3]]), dim=2)
+        inst = build_instance([0, 0, 1], dim=2)
         assert np.array_equal(inst.states, [[1, 0], [1, 0], [0, 1]])
 
     def test_three_singletons_mutually_orthogonal(self):
-        inst = build_instance(Partition.of([[1], [2], [3]]), dim=3)
+        inst = build_instance([0, 1, 2], dim=3)
         g = inst.gram()
         assert np.allclose(g, np.eye(3))
 
     def test_dim_too_small(self):
         with pytest.raises(ValueError, match="too small"):
-            build_instance(Partition.of([[1], [2]]), dim=1)
+            build_instance([0, 1], dim=1)
 
     def test_non_unitary_rotation(self):
         with pytest.raises(ValueError, match="unitary"):
-            build_instance(Partition.of([[1], [2]]), dim=2, rotation=np.ones((2, 2)))
+            build_instance([0, 1], dim=2, rotation=np.ones((2, 2)))
 
     def test_rotation_preserves_gram_moduli(self):
         for seed in range(5):
@@ -108,19 +112,23 @@ class TestQsiInstance:
         with pytest.raises(ValueError):
             inst.states[0, 0] = 5.0
 
-    def test_partition_mismatch_rejected(self):
-        states = (basis_state(2, 0), basis_state(2, 0))
-        with pytest.raises(ValueError, match="promise violated"):
-            QsiInstance(states, Partition.of([[1], [2]]))
+    def test_labels_come_from_the_states(self):
+        # two equal states are one block, whatever blocks a caller had in mind;
+        # a pair at modulus 1/sqrt(2) has no labels
+        equal = QsiInstance((basis_state(2, 0), basis_state(2, 0)))
+        assert promise_labels(equal).tolist() == [0, 0]
+        with pytest.raises(ValueError, match="equal-or-orthogonal promise"):
+            promise_labels(QsiInstance((basis_state(2, 0), unit([1, 1]))))
 
     @pytest.mark.parametrize(
         "blocks", [[[1, 3], [2, 4]], [[1, 2], [3, 4, 5]], [[1], [2, 4], [3, 5]], [[1, 2, 3], [4], [5, 6]]]
     )
-    def test_promise_message_matches_pair_loop(self, blocks):
-        # perturb a random subset of states; the Gram check must name the loop's first bad pair
+    def test_promise_verdict_matches_pair_loop(self, blocks):
+        # perturb a random subset of states; the labels break exactly when the loop
+        # finds a pair off its promised modulus, and otherwise are the blocks'
         part = Partition.of(blocks)
         rng = np.random.default_rng(part.n)
-        clean = build_instance(part, 4, haar_unitary(4, seed=part.n)).states
+        clean = build_instance(part.labels(), 4, haar_unitary(4, seed=part.n)).states
         messages = []
         for _ in range(40):
             states = list(clean)
@@ -129,11 +137,11 @@ class TestQsiInstance:
                 states[idx] = unit(states[idx] + noise)
             want = loop_promise_error(states, part)
             if want is None:
-                QsiInstance(tuple(states), part)
+                labels = promise_labels(QsiInstance(tuple(states)))
+                assert labels.tolist() == first_member_labels(part.labels())
                 continue
-            with pytest.raises(ValueError) as bad:
-                QsiInstance(tuple(states), part)
-            assert str(bad.value) == want
+            with pytest.raises(ValueError, match="equal-or-orthogonal promise"):
+                promise_labels(QsiInstance(tuple(states)))
             messages.append(want)
         assert len({m.split(":")[0] for m in messages}) >= 3
 
@@ -176,7 +184,55 @@ class TestVerifyPromise:
         # a norm within NORM_ATOL may put <i|i> past the promise tolerance
         long = np.array([1 + 8e-10, 0], dtype=complex)
         assert verify_promise(QsiInstance((long, basis_state(2, 1)))) is Verdict.NO_INSTANCE
-        QsiInstance((long, basis_state(2, 1)), Partition.of([[1], [2]]))
+        assert promise_labels(QsiInstance((long, basis_state(2, 1)))).tolist() == [0, 1]
+
+
+class TestLabels:
+    """``QsiInstance.labels`` against the ``equal_pairs`` and ``Partition`` oracles."""
+
+    @pytest.mark.parametrize("first,second,want", [
+        (basis_state(2, 0), unit([1e-10, 1]), [0, 1]),  # orthogonal within PROMISE_ATOL
+        (basis_state(2, 0), unit([1e-8, 1]), None),     # modulus 1e-8 is neither 0 nor 1
+        (np.array([1 + 8e-10, 0], dtype=complex), basis_state(2, 1), [0, 1]),  # long state
+        (basis_state(2, 0), 1j * basis_state(2, 0), [0, 0]),
+    ], ids=["near", "off", "long", "equal"])
+    def test_none_exactly_when_equal_pairs_is(self, first, second, want):
+        inst = QsiInstance((first, second))
+        assert (inst.labels is None) == (equal_pairs(inst) is None)
+        assert (None if inst.labels is None else inst.labels.tolist()) == want
+
+    def test_nan_modulus_breaks_the_promise(self, monkeypatch):
+        inst = QsiInstance((basis_state(2, 0), basis_state(2, 1)))
+        monkeypatch.setattr(QsiInstance, "gram", lambda self: np.array([[1, np.nan], [np.nan, 1]]))
+        assert inst.labels is None and equal_pairs(inst) is None
+
+    def test_phased_and_permuted_copies_match_the_partition(self):
+        rng = np.random.default_rng(21)
+        for seed in range(40):
+            n = int(rng.integers(2, 10))
+            raw = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+            # blocks listed in a random order, so the partition's labels need renumbering
+            order = rng.permutation(raw.max() + 1)
+            part = Partition.of([np.flatnonzero(raw == b) + 1 for b in order if (raw == b).any()])
+            dim = part.block_count + 1
+            inst = build_instance(part.labels(), dim, haar_unitary(dim, seed))
+            phases = np.exp(2j * np.pi * rng.random(n))
+            tau = rng.permutation(n)
+            copies = [
+                (inst, part.labels()),
+                (QsiInstance(phases[:, None] * inst.states), part.labels()),
+                (permuted_instance(inst, tau), [part.labels()[t] for t in tau]),
+            ]
+            for copy, want in copies:
+                assert equal_pairs(copy) is not None
+                assert copy.labels.tolist() == first_member_labels(want), (seed, part)
+
+    def test_read_only_and_built_once(self):
+        inst = random_structured_instance(6, seed=4, rotate=True)
+        labels = inst.labels
+        assert labels is inst.labels
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0] = 1
 
 
 class TestAlignment:
@@ -235,7 +291,7 @@ class TestRandomInstances:
     def test_max_blocks_respected(self):
         for seed in range(10):
             inst = random_structured_instance(6, seed=seed, max_blocks=2)
-            assert inst.partition.block_count <= 2
+            assert max(inst.labels) + 1 <= 2
 
     def test_unstructured_deterministic(self):
         a = random_unstructured_instance(3, 2, seed=1)
@@ -275,7 +331,8 @@ class TestJsonFormat:
             "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         }
         inst = instance_from_json(payload)
-        assert inst.partition is None
+        # orthogonal states keep the promise: two blocks, though no partition is given
+        assert inst.labels.tolist() == [0, 1]
         assert verify_promise(inst) is Verdict.NO_INSTANCE
 
     @pytest.mark.parametrize(
@@ -361,8 +418,8 @@ class TestDecodeCache:
         self.write(path, {"n": 3, "dim": 3, "partition": [[1], [2], [3]]})
         new = load_instance(path)
         assert new is not old
-        assert new.partition == Partition(3, (frozenset({1}), frozenset({2}), frozenset({3})))
-        assert old.partition == Partition(3, (frozenset({1, 3}), frozenset({2})))
+        assert new.labels.tolist() == [0, 1, 2]
+        assert old.labels.tolist() == [0, 1, 0]
 
     def test_identical_texts_share_an_instance(self, tmp_path):
         a = self.write(tmp_path / "a.json", self.PAYLOAD)

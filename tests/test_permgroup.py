@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     Alignment,
+    Partition,
     Permutation,
     cycle_power,
     enumerate_alt,
@@ -20,8 +21,9 @@ from oracles import (
     sign_table,
     stabilizer_count,
 )
+from qsilab.identity_tests import fixed_shifts
+from qsilab.instances import instance_from_json
 from qsilab.limits import CapExceededError
-from qsilab.permgroup import Partition, fixed_shifts
 
 
 class TestPermutation:
@@ -136,21 +138,30 @@ class TestCyclePower:
 
 
 class TestPartition:
+    # the oracle and the instance file decoder refuse the same block lists
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="disjoint"):
             Partition(3, (frozenset({1, 2}), frozenset({2, 3})))
+        with pytest.raises(ValueError, match="partition blocks must be disjoint"):
+            instance_from_json({"n": 3, "dim": 2, "partition": [[1, 2], [2, 3]]})
 
     def test_rejects_gap(self):
         with pytest.raises(ValueError, match="cover"):
             Partition(3, (frozenset({1, 2}),))
+        with pytest.raises(ValueError, match=r"blocks must cover 1..3 exactly, got \[1, 2\]"):
+            instance_from_json({"n": 3, "dim": 2, "partition": [[1, 2]]})
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError, match="nonempty"):
             Partition(2, (frozenset({1, 2}), frozenset()))
+        with pytest.raises(ValueError, match="partition blocks must be nonempty"):
+            instance_from_json({"n": 2, "dim": 2, "partition": [[1, 2], []]})
 
     def test_labels(self):
         part = Partition.of([[1, 3], [2]])
         assert part.labels() == (0, 1, 0)
+        inst = instance_from_json({"n": 3, "dim": 2, "partition": [[2], [1, 3]]})
+        assert inst.labels.tolist() == [0, 1, 0]
 
 
 class TestFixedShifts:

@@ -8,6 +8,7 @@ import pytest
 from conftest import all_orthogonal, two_block, yes_instance
 from oracles import (
     Alignment,
+    Partition,
     arrangement_rcir,
     chain_srs_exact,
     circle_equal_probs,
@@ -34,7 +35,6 @@ from qsilab.limits import (
     SRS_PATH_MAX_M,
     CapExceededError,
 )
-from qsilab.permgroup import Partition
 from qsilab.bounds import eq2_bound
 from qsilab.cli import main as cli_main
 from qsilab.protocols import (
@@ -50,7 +50,7 @@ from qsilab.protocols import (
     wilson_interval,
 )
 
-TWO_IDENT = build_instance(Partition.of([[1, 3], [2]]), dim=2)
+TWO_IDENT = build_instance(Partition.of([[1, 3], [2]]).labels(), dim=2)
 ALL_ORTH = all_orthogonal(3)
 YES3 = yes_instance(3)
 
@@ -114,7 +114,7 @@ def branching_srs(inst, m: int, policy: str) -> Fraction:
         branches = [recurse(merged, tuple(sorted((leftover, k))), rounds - 1) for k in kept]
         return pass_prob * sum(branches, Fraction(0)) / len(branches)
 
-    start = {inst.partition.labels(): 1}
+    start = {tuple(promise_labels(inst).tolist()): 1}
     return sum((recurse(start, pair, m) for pair in ((1, 2), (1, 3), (2, 3))), Fraction(0)) / 3
 
 
@@ -184,7 +184,7 @@ class TestSrsExact:
     @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
     def test_matches_chain_oracle(self, blocks):
         # the branching oracle, both policies, is test_matches_uniform_branching_oracle
-        inst = build_instance(Partition.of(blocks), dim=3)
+        inst = build_instance(Partition.of(blocks).labels(), dim=3)
         for m in range(1, 41):
             assert srs_exact(_sizes(inst), m) == chain_srs_exact(inst, m)
 
@@ -215,8 +215,8 @@ class TestSrsExact:
     def test_policy_does_not_matter(self):
         shapes = [
             TWO_IDENT,
-            build_instance(Partition.of([[1, 2], [3]]), dim=2),
-            build_instance(Partition.of([[2, 3], [1]]), dim=2),
+            build_instance(Partition.of([[1, 2], [3]]).labels(), dim=2),
+            build_instance(Partition.of([[2, 3], [1]]).labels(), dim=2),
             ALL_ORTH,
         ]
         for inst in shapes:
@@ -226,19 +226,19 @@ class TestSrsExact:
 
     @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
     def test_matches_uniform_branching_oracle(self, blocks):
-        inst = build_instance(Partition.of(blocks), dim=3)
+        inst = build_instance(Partition.of(blocks).labels(), dim=3)
         for m in range(1, 9):
             for policy in ("uniform", "canonical"):
                 assert srs_exact(_sizes(inst), m) == branching_srs(inst, m, policy)
 
     def test_two_identical_labelings_agree(self):
         for blocks in ([[1, 2], [3]], [[2, 3], [1]], [[1, 3], [2]]):
-            inst = build_instance(Partition.of(blocks), dim=2)
+            inst = build_instance(Partition.of(blocks).labels(), dim=2)
             assert srs_exact(_sizes(inst), 3) == TWO_IDENT_EXACT[3]
 
     def test_rotation_invariance(self):
         rotated = build_instance(
-            Partition.of([[1, 3], [2]]), dim=2, rotation=haar_unitary(2, 12)
+            Partition.of([[1, 3], [2]]).labels(), dim=2, rotation=haar_unitary(2, 12)
         )
         assert srs_exact(_sizes(rotated), 4) == TWO_IDENT_EXACT[4]
 
@@ -285,8 +285,8 @@ class TestSrsCanonicalTrace:
         trace = srs_canonical_trace(TWO_IDENT, 5, first_pair=(1, 2))
         assert [r.pair for r in trace] == [(1, 2), (2, 3), (1, 3), (2, 3), (1, 3)]
 
-    def test_requires_partition_before_promise(self):
-        with pytest.raises(ValueError, match="partition"):
+    def test_requires_promise(self):
+        with pytest.raises(ValueError, match="promise"):
             srs_canonical_trace(random_unstructured_instance(3, 2, seed=4), 1)
 
 
@@ -298,7 +298,7 @@ class TestSrsPathSum:
     @pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
     def test_matches_exact(self, blocks, dim, rotate):
         rotation = haar_unitary(dim, seed=90 + dim) if rotate else None
-        inst = build_instance(Partition.of(blocks), dim, rotation)
+        inst = build_instance(Partition.of(blocks).labels(), dim, rotation)
         values = srs_path_sum(inst, SRS_PATH_MAX_M)
         assert values.shape == (SRS_PATH_MAX_M,)
         for m, value in enumerate(values, start=1):
@@ -306,7 +306,7 @@ class TestSrsPathSum:
 
     @pytest.mark.parametrize("blocks", THREE_STATE_PARTITIONS)
     def test_prefixes_are_shorter_runs(self, blocks):
-        inst = build_instance(Partition.of(blocks), 3, haar_unitary(3, seed=91))
+        inst = build_instance(Partition.of(blocks).labels(), 3, haar_unitary(3, seed=91))
         values = srs_path_sum(inst, 12)
         for t in range(1, 13):
             assert values[t - 1] == srs_path_sum(inst, t)[-1]
@@ -362,8 +362,8 @@ class TestSrsSample:
     def test_monte_carlo_matches_exact(self, shape, m):
         inst = {
             "two_ident_13": TWO_IDENT,
-            "two_ident_12": build_instance(Partition.of([[1, 2], [3]]), dim=2),
-            "two_ident_23": build_instance(Partition.of([[2, 3], [1]]), dim=2),
+            "two_ident_12": build_instance(Partition.of([[1, 2], [3]]).labels(), dim=2),
+            "two_ident_23": build_instance(Partition.of([[2, 3], [1]]).labels(), dim=2),
             "all_orth": ALL_ORTH,
         }[shape]
         trials = 12_000
@@ -389,7 +389,7 @@ class TestRcirSample:
         assert _sigma_bound(est.p_hat, Fraction(2, 3), trials)
 
     def test_alternating_four_matches_exact(self):
-        inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
+        inst = build_instance(Partition.of([[1, 3], [2, 4]]).labels(), dim=2)
         trials = 20_000
         labels = promise_labels(inst)
         est = mc_run(lambda rng, k: rcir_batch(labels, rng, k), trials, base_seed=99)
@@ -418,7 +418,7 @@ class TestSrsBatch:
         [(b, d) for d in (2, 3, 5) for b in THREE_STATE_PARTITIONS if len(b) <= d],
     )
     def test_rotated_matches_exact(self, blocks, dim):
-        inst = build_instance(Partition.of(blocks), dim, haar_unitary(dim, seed=40 + dim))
+        inst = build_instance(Partition.of(blocks).labels(), dim, haar_unitary(dim, seed=40 + dim))
         trials = 20_000
         for m in (1, 3, 6):
             expected = srs_exact(_sizes(inst), m)
@@ -435,7 +435,7 @@ class TestSrsBatch:
         assert _two_sample_bound(batched, oracle)
 
     def test_unstructured_promise_states_match_oracle(self):
-        # equal-up-to-phase states: the promise holds but no partition is stored
+        # equal-up-to-phase states: the promise holds though no file gave the blocks
         rot = haar_unitary(4, seed=3)
         states = [rot[:, 0], 1j * rot[:, 0], rot[:, 2]]
         inst = QsiInstance(states)
@@ -452,7 +452,7 @@ class TestSrsBatch:
     )
     def test_verdicts_equal_per_trial_state_oracle(self, blocks, dim):
         # one state per pair path must give exactly the verdicts of one state per trial
-        inst = build_instance(Partition.of(blocks), dim, haar_unitary(dim, seed=80 + dim))
+        inst = build_instance(Partition.of(blocks).labels(), dim, haar_unitary(dim, seed=80 + dim))
         cases = [(m, k) for m in range(1, 13) for k in (1, 7, MC_BLOCK)]
         for m, k in cases + [(16, MC_BLOCK), (20, MC_BLOCK)]:
             seed = [dim, len(blocks), m, k]
@@ -463,7 +463,7 @@ class TestSrsBatch:
 
     def test_only_trial_dies_early(self):
         # a trial that fails in round 1 stays NO through the later rounds
-        inst = build_instance(Partition.of([[1], [2], [3]]), 3, haar_unitary(3, seed=83))
+        inst = build_instance(Partition.of([[1], [2], [3]]).labels(), 3, haar_unitary(3, seed=83))
         seed = next(s for s in range(100) if not srs_batch(inst, 1, np.random.default_rng(s), 1)[0])
         got = srs_batch(inst, 20, np.random.default_rng(seed), 1)
         want = per_trial_srs_batch(inst, 20, np.random.default_rng(seed), 1)
@@ -538,7 +538,7 @@ class TestRcirBatch:
         blocks = np.split(order, np.cumsum(sizes)[:-1])
         part = Partition.of([b.tolist() for b in blocks])
         dim = len(sizes) + 1
-        rotated = build_instance(part, dim, haar_unitary(dim, seed=len(sizes)))
+        rotated = build_instance(part.labels(), dim, haar_unitary(dim, seed=len(sizes)))
         for idx, inst in enumerate([rotated, _phased_states(rotated, seed=n)]):
             for k in (1, 7, MC_BLOCK):
                 seed = [n, len(sizes), idx, k]
@@ -547,7 +547,8 @@ class TestRcirBatch:
                 assert np.array_equal(got, want), (sizes, idx, k)
 
     def test_equal_blocks_match_exact(self):
-        inst = build_instance(Partition.of([[1, 4, 7, 10], [2, 5, 8, 11], [3, 6, 9, 12]]), dim=3)
+        part = Partition.of([[1, 4, 7, 10], [2, 5, 8, 11], [3, 6, 9, 12]])
+        inst = build_instance(part.labels(), dim=3)
         labels, trials = promise_labels(inst), 20_000
         est = mc_run(lambda rng, k: rcir_batch(labels, rng, k), trials, base_seed=73)
         assert _sigma_bound(est.p_hat, rcir_exact(_sizes(inst)), trials)
@@ -555,12 +556,17 @@ class TestRcirBatch:
 
 class TestPromiseLabels:
     def test_partition_labels(self, monkeypatch):
-        # the constructor has checked the promise against the partition: no n x n Gram again
-        inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
-        monkeypatch.setattr(QsiInstance, "gram", None)
-        assert promise_labels(inst) == (0, 1, 0, 1)
+        # a partition file's labels come from its states: classes numbered by first member
+        inst = build_instance(Partition.of([[2, 4], [1, 3]]).labels(), dim=2)
+        calls = []
+        gram = QsiInstance.gram
+        monkeypatch.setattr(QsiInstance, "gram", lambda self: calls.append(self.n) or gram(self))
+        assert promise_labels(inst).tolist() == [0, 1, 0, 1]
+        assert promise_labels(inst) is promise_labels(inst)
+        assert calls == [4]
 
     def test_gram_built_once(self, monkeypatch):
+        # at most one Gram matrix per instance, however often the labels are read
         calls = []
         gram = QsiInstance.gram
 
@@ -569,29 +575,32 @@ class TestPromiseLabels:
             return gram(inst)
 
         part = Partition.of([[1, 3], [2]])
-        rotated = build_instance(part, dim=3, rotation=haar_unitary(3, seed=4))
+        rotated = build_instance(part.labels(), dim=3, rotation=haar_unitary(3, seed=4))
         states_only = QsiInstance(rotated.states)
         plus = np.array([1, 1, 0]) / np.sqrt(2)
         broken = QsiInstance([*rotated.states[:2], plus])
         monkeypatch.setattr(QsiInstance, "gram", counted)
-        assert promise_labels(states_only) == (0, 1, 0)
+        for _ in range(3):
+            assert promise_labels(states_only).tolist() == [0, 1, 0]
         assert calls == [3]
-        with pytest.raises(ValueError, match="violates the equal-or-orthogonal promise"):
-            promise_labels(broken)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="violates the equal-or-orthogonal promise"):
+                promise_labels(broken)
         assert calls == [3, 3]
-        # the constructor checked the partition instance: sampling builds no Gram matrix
-        srs_batch(rotated, 4, np.random.default_rng(0), 64)
-        assert calls == [3, 3]
+        # sampling reads the labels in every block, and builds one Gram matrix in all
+        for seed in range(3):
+            srs_batch(rotated, 4, np.random.default_rng(seed), 64)
+        assert calls == [3, 3, 3]
 
     def test_states_only_classes_numbered_by_first_member(self):
         rot = haar_unitary(3, seed=9)
         states = [rot[:, 2], 1j * rot[:, 0], -rot[:, 2], rot[:, 1], np.exp(0.3j) * rot[:, 0]]
         inst = QsiInstance(states)
-        assert promise_labels(inst) == (0, 1, 0, 2, 1)
+        assert promise_labels(inst).tolist() == [0, 1, 0, 2, 1]
 
 
 def _phased_states(inst: QsiInstance, seed: int) -> QsiInstance:
-    """The same states, each times a random phase, with no partition stored."""
+    """The same states, each times a random phase."""
     phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(inst.n))
     return QsiInstance(phases[:, None] * inst.states)
 
@@ -704,13 +713,13 @@ def _consecutive_blocks(sizes) -> Partition:
 
 class TestRcirExactForInstance:
     def test_two_block_instance(self):
-        inst = build_instance(Partition.of([[1, 3], [2, 4]]), dim=2)
+        inst = build_instance(Partition.of([[1, 3], [2, 4]]).labels(), dim=2)
         assert rcir_exact(_sizes(inst)) == rcir_exact([2, 2])
 
     def test_multi_block_is_exact_below_worst_merge(self):
         # the worst two-block merge, max(rcir_exact([2, 4]), rcir_exact([3, 3])) = 1/5,
         # only bounds the three-block value
-        inst = build_instance(Partition.of([[1, 2], [3, 4], [5, 6]]), dim=3)
+        inst = build_instance(Partition.of([[1, 2], [3, 4], [5, 6]]).labels(), dim=3)
         assert worst_merge_rcir(inst) == max(rcir_exact([2, 4]), rcir_exact([3, 3])) == Fraction(1, 5)
         assert rcir_exact(_sizes(inst)) == Fraction(8, 45)
 
@@ -719,13 +728,13 @@ class TestRcirExactForInstance:
         [([[1, 2], [3], [4]], Fraction(1, 4)), ([[1, 2, 3, 4], [5, 6], [7, 8]], Fraction(9, 70))],
     )
     def test_multi_block_examples(self, blocks, expected):
-        inst = build_instance(Partition.of(blocks), dim=len(blocks))
+        inst = build_instance(Partition.of(blocks).labels(), dim=len(blocks))
         assert rcir_exact(_sizes(inst)) == expected
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_arrangement_oracle(self, n):
         for sizes in _size_tuples(n):
-            inst = build_instance(_consecutive_blocks(sizes), dim=len(sizes))
+            inst = build_instance(_consecutive_blocks(sizes).labels(), dim=len(sizes))
             exact = rcir_exact(_sizes(inst))
             assert exact == arrangement_rcir(sizes), sizes
             assert exact <= worst_merge_rcir(inst), sizes
@@ -733,8 +742,8 @@ class TestRcirExactForInstance:
                 assert exact == rcir_exact(sizes[::-1]) == worst_merge_rcir(inst)
 
     def test_block_order_and_labels_do_not_matter(self):
-        a = build_instance(Partition.of([[1, 5], [2], [3, 4, 6]]), dim=3)
-        b = build_instance(_consecutive_blocks([3, 2, 1]), dim=3)
+        a = build_instance(Partition.of([[1, 5], [2], [3, 4, 6]]).labels(), dim=3)
+        b = build_instance(_consecutive_blocks([3, 2, 1]).labels(), dim=3)
         assert rcir_exact(_sizes(a)) == rcir_exact(_sizes(b)) == arrangement_rcir([2, 1, 3])
 
     def test_needs_partition_and_cap(self):
