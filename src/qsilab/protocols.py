@@ -18,9 +18,10 @@ swap's in floating point on the kernel the Monte Carlo samples. Monte Carlo
 trials run in blocks of MC_BLOCK, each block drawing from its own stream
 seeded by the base seed and the block index, so runs are reproducible from
 the seed. Within a block, sequential random swap evolves one state per
-distinct path of tested pairs rather than one per trial: trials that tested
-the same pairs share a row of a state table, and each round updates the rows
-once.
+path of tested pairs rather than one per trial: row i of its state table
+splits into rows 2i and 2i + 1, one per register kept, and each trial holds
+the id of its row. Rows no trial holds are dropped only when the table would
+outgrow the block.
 Randomized circle samples from the states' integer block labels alone: a
 relabeled run passes with the share of cyclic shifts that fix its label row.
 """
@@ -104,33 +105,48 @@ def srs_round(table: np.ndarray, swap: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return equal, (np.abs(equal) ** 2).sum(axis=1)
 
 
+def srs_children(
+    equal: np.ndarray, p0: np.ndarray, pair: np.ndarray, child: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``child`` of the next round's table and their pairs. Child 2i + b
+    of row i is row i's EQUAL branch renormalized by its p0, which keeps
+    register b of row i's pair alongside the leftover one."""
+    parent = child // 2
+    return equal[parent] / np.sqrt(p0[parent])[:, None], _NEXT_PAIR[pair[parent], child % 2]
+
+
 def srs_batch(inst: QsiInstance, m: int, rng: np.random.Generator, k: int) -> np.ndarray:
     """k sampled runs of the m-round sequential swap protocol; True is YES.
 
-    Runs the kernel ``srs_start`` / ``srs_round``. A trial's state depends
-    only on the pairs it has tested, so the states form a table with one
-    row per distinct pair path (at most min(k, 3 * 2^(t-1)) rows in round
-    t) and each trial holds its row's slot. Each round computes, once per
-    row, the EQUAL branch and its probability p0; each trial passes with its
-    row's p0 and then keeps the leftover register plus one of the two
-    tested ones, so a row has at most two children, each renormalized by
-    the parent's p0. That p0 is at least 1/4 even on rows whose trials all
-    failed: a state symmetric under the last pair has swap expectation at
-    least -1/2 on any other pair.
+    Runs the kernel ``srs_start`` / ``srs_round`` / ``srs_children``. A
+    trial's state depends only on the pairs it has tested, so the states
+    form a table with one row per pair path, and each trial holds its row's
+    id. Each round computes, once per row, the EQUAL branch and its
+    probability p0; each trial passes with its row's p0 and then keeps the
+    leftover register plus one of the two tested ones, moving from row i to
+    row 2i + bit. Round t has 3 * 2^(t-1) paths; once they outnumber the k
+    trials, the rows no trial holds are dropped and the rest renumbered in
+    order, so no round sees more than max(k, 3) rows. A row's p0 is at least
+    1/4 even when all its trials failed: a state symmetric under the last
+    pair has swap expectation at least -1/2 on any other pair.
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
     table, swaps = srs_start(inst)
-    pair, slot = np.unique(rng.integers(3, size=k), return_inverse=True)
+    pair = np.arange(3)
+    row = rng.integers(3, size=k)
     alive = np.ones(k, dtype=bool)
     for round_no in range(1, m + 1):
         equal, p0 = srs_round(table, swaps[pair])
-        alive &= rng.random(k) < p0[slot]
+        alive &= rng.random(k) < p0[row]
         if round_no < m:
-            child, slot = np.unique(2 * slot + rng.integers(2, size=k), return_inverse=True)
-            parent = child // 2
-            table = equal[parent] / np.sqrt(p0[parent])[:, None]
-            pair = _NEXT_PAIR[pair[parent], child % 2]
+            row = 2 * row + rng.integers(2, size=k)
+            child = np.arange(2 * len(pair))
+            if len(child) > k:
+                held = np.bincount(row, minlength=len(child)) > 0
+                row = (np.cumsum(held) - 1)[row]
+                child = child[held]
+            table, pair = srs_children(equal, p0, pair, child)
     return alive
 
 
@@ -140,9 +156,10 @@ def srs_path_sum(inst: QsiInstance, m: int) -> np.ndarray:
 
     The 3 * 2^(t-1) pair paths of t rounds are equally likely, and each
     passes with the product of its rounds' p0; a t-round run is the first t
-    rounds of an m-round one. Raises ValueError when m < 1,
-    CapExceededError when m > SRS_PATH_MAX_M, then ValueError where
-    ``srs_batch`` does.
+    rounds of an m-round one. The table is ``srs_batch``'s before any row is
+    dropped: row i of round t has children 2i and 2i + 1 in round t + 1.
+    Raises ValueError when m < 1, CapExceededError when m > SRS_PATH_MAX_M,
+    then ValueError where ``srs_batch`` does.
     """
     if m < 1:
         raise ValueError("round count must be at least 1")
@@ -156,8 +173,7 @@ def srs_path_sum(inst: QsiInstance, m: int) -> np.ndarray:
         passed = passed * p0
         values[t] = passed.mean()
         if t < m - 1:
-            table = np.repeat(equal / np.sqrt(p0)[:, None], 2, axis=0)
-            pair = _NEXT_PAIR[pair].reshape(-1)
+            table, pair = srs_children(equal, p0, pair, np.arange(2 * len(pair)))
             passed = np.repeat(passed, 2)
     return values
 

@@ -700,9 +700,9 @@ class TestMain:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the seed check")
 
-        for name in ("_load", "srs_exact", "rcir_exact", "mc_run", "run_all",
-                     "two_block_soundness"):
+        for name in ("_load", "srs_exact", "rcir_exact", "mc_run", "two_block_soundness"):
             monkeypatch.setattr(f"qsilab.cli.{name}", refuse)
+        monkeypatch.setattr("qsilab.selftest.run_all", refuse)
         if argv == ["selftest"]:
             # selftest takes no --seed: the parser refuses it
             with pytest.raises(SystemExit) as refused:
@@ -722,7 +722,7 @@ class TestMain:
         def refuse(*args, **kwargs):
             raise AssertionError("selftest ran with a flag it ignores")
 
-        monkeypatch.setattr("qsilab.cli.run_all", refuse)
+        monkeypatch.setattr("qsilab.selftest.run_all", refuse)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as refused:
             main(["selftest", *flags])
@@ -762,3 +762,9 @@ class TestMain:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
         assert done.stdout == "0\n"
+
+    def test_selftest_not_imported_with_the_cli(self):
+        probe = "import sys, qsilab.cli; print('qsilab.selftest' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout == "False\n"

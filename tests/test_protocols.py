@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import all_orthogonal, two_block, yes_instance
 from oracles import (
@@ -36,6 +38,7 @@ from qsilab.limits import (
     CapExceededError,
 )
 from qsilab.bounds import eq2_bound
+from qsilab import protocols
 from qsilab.cli import main as cli_main
 from qsilab.protocols import (
     MC_BLOCK,
@@ -47,6 +50,7 @@ from qsilab.protocols import (
     srs_closed_form,
     srs_exact,
     srs_path_sum,
+    srs_round,
     wilson_interval,
 )
 
@@ -460,6 +464,56 @@ class TestSrsBatch:
             want = per_trial_srs_batch(inst, m, np.random.default_rng(seed), k)
             assert got.shape == (k,) and got.dtype == bool
             assert np.array_equal(got, want), (blocks, dim, m, k)
+
+    @pytest.mark.parametrize("blocks", [[[1, 3], [2]], [[1], [2], [3]]], ids=["two", "three"])
+    def test_verdicts_equal_oracle_where_rows_are_dropped(self, blocks):
+        # k at, below and above the path counts 3 * 2^(t-1): rounds that keep every
+        # path and rounds that drop the ones no trial holds must both match
+        inst = build_instance(Partition.of(blocks).labels(), 3, haar_unitary(3, seed=84))
+        for m in range(1, 13):
+            for k in (2, 3, 5, 6, 12, 24, 47, 48, 96, 384):
+                seed = [len(blocks), m, k]
+                got = srs_batch(inst, m, np.random.default_rng(seed), k)
+                want = per_trial_srs_batch(inst, m, np.random.default_rng(seed), k)
+                assert np.array_equal(got, want), (blocks, m, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(THREE_STATE_PARTITIONS),
+        st.integers(2, 4),
+        st.integers(1, 10),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_verdicts_equal_oracle_property(self, blocks, dim, m, k, seed):
+        assume(len(blocks) <= dim)
+        inst = build_instance(Partition.of(blocks).labels(), dim, haar_unitary(dim, seed=seed))
+        got = srs_batch(inst, m, np.random.default_rng(seed), k)
+        want = per_trial_srs_batch(inst, m, np.random.default_rng(seed), k)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 7, 100, MC_BLOCK])
+    def test_rows_per_round_within_paths_and_block(self, monkeypatch, k):
+        # every path has a row while the paths fit the block, and no round sees more
+        # than max(k, 3) rows once they do not
+        rows = []
+
+        def spy(table, swap):
+            equal, p0 = srs_round(table, swap)
+            rows.append(len(p0))
+            return equal, p0
+
+        monkeypatch.setattr(protocols, "srs_round", spy)
+        inst = build_instance(Partition.of([[1], [2], [3]]).labels(), 3, haar_unitary(3, seed=85))
+        for m in range(1, 17):
+            rows.clear()
+            srs_batch(inst, m, np.random.default_rng([m, k]), k)
+            assert len(rows) == m
+            for t, seen in enumerate(rows, start=1):
+                paths = 3 * 2 ** (t - 1)
+                assert seen <= min(paths, max(k, 3)), (k, m, t, seen)
+                if paths <= k:
+                    assert seen == paths, (k, m, t, seen)
 
     def test_only_trial_dies_early(self):
         # a trial that fails in round 1 stays NO through the later rounds
