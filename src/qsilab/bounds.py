@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .identity_tests import TestKind, permanent, run_circuit
+from .identity_tests import TestKind, equal_prob_formula, run_circuit
 from .instances import QsiInstance
-from .limits import RCIR_EXACT_MAX_N, SYM_ENUM_MAX_N, CapExceededError
+from .limits import RCIR_EXACT_MAX_N, CapExceededError
 
 #: Tolerance of the two-sided gap check on the trace distance and error sum.
 GAP_ATOL = 1e-10
@@ -94,16 +94,11 @@ def inverse_square_tail_bracket(s_max: int) -> tuple[float, float]:
 
 def ps_lower_bound(inst: QsiInstance) -> float:
     """perm(G)/n!, the overlap of the instance's product state with the
-    symmetric subspace: the permutation test's EQUAL probability, which no
-    identity test goes below.
-
-    Computed from the n x n Gram matrix G only. G is Hermitian, so perm(G) is
-    real and only its real part is divided.
+    symmetric subspace. It is the permutation test's EQUAL probability, which
+    no identity test goes below, so ``equal_prob_formula`` evaluates it, with
+    that test's n range and cap.
     """
-    n = inst.n
-    if n > SYM_ENUM_MAX_N:
-        raise CapExceededError(f"permutation average capped at n={SYM_ENUM_MAX_N}")
-    return float(permanent(inst.gram()).real) / math.factorial(n)
+    return equal_prob_formula(TestKind.PERMUTATION, inst)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ Subcommands: `test` (one identity test on an instance file), `protocol`
 grids), `bounds` (individual bound evaluations), and `selftest` (the full
 criteria suite).
 
-Output is CSV to --out or stdout; --json prints the run record instead.
-Every run is replayable from its parameters and seed: identical command and
-seed produce byte-identical CSV. Exit codes: 0 ok, 1 a selftest criterion
-failed, 2 bad input or a value that is not a real number (ArithmeticError),
-3 size cap exceeded or out of memory, 4 output I/O failure.
+Output is CSV to --out or stdout, each row ending in `run_id` and `seed`;
+--json prints the run record instead, and --out also writes it to
+`<out>.record.json`. Only a Monte Carlo protocol run draws: it takes --seed,
+or draws and records one, and replays from it byte for byte. Every other run
+records no seed and prints the same bytes for the same command. Exit codes: 0
+ok, 1 a selftest criterion failed, 2 bad input or a non-real value
+(ArithmeticError), 3 size cap exceeded or out of memory, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import argparse
 import csv
 import functools
 import hashlib
-import io
 import json
+import os
 import secrets
 import sys
 import time
@@ -77,13 +79,14 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _csv_text(columns: list[str], rows: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+def _write_csv(stream, rows: list[dict[str, Any]], record: RunRecord) -> None:
+    """The first row's columns, then run_id and seed, one line per row."""
+    columns = list(rows[0])
+    tail = [record.run_id, _cell(record.seed)]
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns + ["run_id", "seed"])
     for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in columns])
-    return buf.getvalue()
+        writer.writerow([_cell(row[col]) for col in columns] + tail)
 
 
 def _load(path: str) -> QsiInstance:
@@ -96,27 +99,23 @@ def _load(path: str) -> QsiInstance:
 
 
 # --- subcommand runners ------------------------------------------------------
+# Each returns its rows; every row holds all its columns, in order (None prints empty).
 
-def _cmd_test(args, seed: int) -> tuple[list[str], list[dict], dict]:
+def _cmd_test(args) -> list[dict]:
     kind = TestKind(args.kind)
     inst = _load(args.instance)
-    row: dict[str, Any] = {
+    circuit = run_circuit(kind, inst).p_equal if args.mode != "formula" else None
+    formula = equal_prob_formula(kind, inst) if args.mode != "circuit" else None
+    return [{
         "kind": kind.value,
         "mode": args.mode,
         "n": inst.n,
         "dim": inst.dim,
-    }
-    if args.mode in ("circuit", "both"):
-        row["p_circuit"] = run_circuit(kind, inst).p_equal
-    if args.mode in ("formula", "both"):
-        row["p_formula"] = equal_prob_formula(kind, inst)
-    if args.mode == "both":
-        row["abs_diff"] = abs(row["p_circuit"] - row["p_formula"])
-    if inst.labels is not None:
-        row["p_rational"] = _rat(equal_prob_rational(kind, inst))
-    columns = ["kind", "mode", "n", "dim", "p_circuit", "p_formula",
-               "p_rational", "abs_diff"]
-    return columns, [row], dict(row)
+        "p_circuit": circuit,
+        "p_formula": formula,
+        "p_rational": _rat(equal_prob_rational(kind, inst)) if inst.labels is not None else None,
+        "abs_diff": abs(circuit - formula) if args.mode == "both" else None,
+    }]
 
 
 def _check_protocol_args(args) -> None:
@@ -142,7 +141,7 @@ def _check_protocol_args(args) -> None:
         raise CapExceededError(f"--n {args.n}: randomized circle capped at n={RCIR_EXACT_MAX_N}")
 
 
-def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
+def _cmd_protocol(args) -> list[dict]:
     _check_protocol_args(args)
     inst = _load(args.instance) if args.instance is not None else None
     labels = promise_labels(inst) if inst is not None else (0,) * args.r + (1,) * (args.n - args.r)
@@ -157,22 +156,18 @@ def _cmd_protocol(args, seed: int) -> tuple[list[str], list[dict], dict]:
     if args.exact:
         sizes = np.bincount(labels).tolist()
         value = srs_exact(sizes, args.m) if args.protocol == "srs" else rcir_exact(sizes)
-        row["value_rational"] = _rat(value)
-        row["value_float"] = float(value)
+        row.update(value_rational=_rat(value), value_float=float(value), trials=None,
+                   successes=None, p_hat=None, ci_lo=None, ci_hi=None)
     else:
         sample = (functools.partial(srs_batch, inst, args.m) if args.protocol == "srs"
                   else functools.partial(rcir_batch, labels))
-        est = mc_run(sample, args.trials, seed)
-        row.update(
-            trials=est.trials,
-            successes=est.successes,
-            p_hat=est.p_hat,
-            ci_lo=est.ci95[0],
-            ci_hi=est.ci95[1],
-        )
-    columns = ["protocol", "n", "r", "m", "policy", "mode", "value_rational",
-               "value_float", "trials", "successes", "p_hat", "ci_lo", "ci_hi"]
-    return columns, [row], dict(row)
+        if args.seed is None:  # drawn into args, so that the record holds it
+            args.seed = secrets.randbits(32)
+        est = mc_run(sample, args.trials, args.seed)
+        row.update(value_rational=None, value_float=None, trials=est.trials,
+                   successes=est.successes, p_hat=est.p_hat, ci_lo=est.ci95[0],
+                   ci_hi=est.ci95[1])
+    return [row]
 
 
 def _sweep_perm_soundness(args) -> list[dict]:
@@ -262,16 +257,16 @@ _SWEEPS = {
 }
 
 
-def _cmd_sweep(args, seed: int) -> tuple[list[str], list[dict], dict]:
+def _cmd_sweep(args) -> list[dict]:
     rows = _SWEEPS[args.target](args)
     if not rows:
         flags = (f"--m-max {args.m_max}" if args.target == "srs-vs-m"
                  else f"--n-min {args.n_min} --n-max {args.n_max}")
         raise InputError(f"sweep {args.target} has no rows for {flags}")
-    return list(rows[0]), rows, {"rows": len(rows)}
+    return rows
 
 
-def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
+def _cmd_bounds(args) -> list[dict]:
     which = args.which
     needs = {"two-block": "nl", "q": "nrs", "eq2": "nr", "basel": "n", "gap": ""}[which]
     missing = " ".join(f"--{flag}" for flag in needs if getattr(args, flag) is None)
@@ -303,7 +298,7 @@ def _cmd_bounds(args, seed: int) -> tuple[list[str], list[dict], dict]:
                "soundness_error": report.soundness_error,
                "error_sum": report.error_sum,
                "achieves_lower_bound": report.achieves_lower_bound}
-    return list(row.keys()), [row], dict(row)
+    return [row]
 
 
 # --- wiring ------------------------------------------------------------------
@@ -315,12 +310,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qsilab",
         description="identity-testing lab: circuits, closed forms, protocols, bounds",
     )
+    # only protocol takes --seed, and only test and protocol read a file
+    parser.set_defaults(seed=None, instance=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write CSV here (plus a JSON sidecar)")
+        p.add_argument("--out", help="write CSV here, and the run record to OUT.record.json")
         p.add_argument("--json", action="store_true", help="print the run record as JSON")
-        p.add_argument("--seed", type=int, help="seed for anything random")
 
     p_test = sub.add_parser("test", help="run one identity test on an instance file")
     p_test.add_argument("--kind", required=True,
@@ -342,6 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "policy column, since the exact value is the same under both")
     p_proto.add_argument("--exact", action="store_true", help="exact rational value")
     p_proto.add_argument("--trials", type=int, default=10_000)
+    p_proto.add_argument("--seed", type=int,
+                         help="Monte Carlo seed, drawn when not given; --exact only echoes it")
     common(p_proto)
 
     p_sweep = sub.add_parser("sweep", help="tabulate a quantity over a grid")
@@ -377,27 +375,30 @@ def _params_of(args: argparse.Namespace) -> dict[str, Any]:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _emit(args, columns: list[str], rows: list[dict], record: RunRecord) -> None:
-    for row in rows:
-        row.setdefault("run_id", record.run_id)
-        row.setdefault("seed", record.seed)
-    columns = columns + ["run_id", "seed"]
-    text = _csv_text(columns, rows)
+def _sidecar(out: str) -> Path:
+    return Path(out + ".record.json")
+
+
+def _check_out(args) -> None:
+    """Refuse an --out whose CSV or record would overwrite the --instance file."""
+    if args.out is None or args.instance is None:
+        return
+    written = {os.path.realpath(path) for path in (args.out, _sidecar(args.out))}
+    if os.path.realpath(args.instance) in written:  # realpath: a symlink loop is no error here
+        raise InputError(f"--out {args.out} would overwrite the instance file {args.instance}")
+
+
+def _emit(args, rows: list[dict], record: RunRecord) -> None:
     if args.out is not None:
-        out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
-        sidecar = out.with_suffix(".json")
-        if sidecar == out:
-            sidecar = out.with_name(out.name + ".record.json")
-        sidecar.write_text(
-            json.dumps({"record": asdict(record), "rows": rows}, indent=2, default=str)
-            + "\n",
-            encoding="utf-8",
+        with open(args.out, "w", encoding="utf-8") as out:
+            _write_csv(out, rows, record)
+        _sidecar(args.out).write_text(
+            json.dumps(asdict(record), indent=2, default=str) + "\n", encoding="utf-8"
         )
     if args.json:
         print(json.dumps(asdict(record), indent=2, default=str))
     elif args.out is None:
-        sys.stdout.write(text)
+        _write_csv(sys.stdout, rows, record)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -410,11 +411,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else secrets.randbits(32)
     params = _params_of(args)
     started = time.perf_counter()
     try:
-        columns, rows, outputs = _RUNNERS[args.command](args, seed)
+        _check_out(args)
+        rows = _RUNNERS[args.command](args)
     except (CapExceededError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
@@ -425,13 +426,13 @@ def main(argv: list[str] | None = None) -> int:
     record = RunRecord(
         command=args.command,
         params=params,
-        outputs=outputs,
-        seed=seed,
+        outputs={"rows": len(rows)} if args.command == "sweep" else rows[0],
+        seed=args.seed,
         wall_time_ms=wall_ms,
-        run_id=_run_id(args.command, params, seed),
+        run_id=_run_id(args.command, params, args.seed),
     )
     try:
-        _emit(args, columns, rows, record)
+        _emit(args, rows, record)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4

@@ -163,21 +163,23 @@ def equal_prob_formula(kind: TestKind, inst: QsiInstance) -> float:
     symmetric group the sum is perm(G); over the alternating group it is
     (perm(G) + det(G))/2; over the cyclic shifts it is n shifted-diagonal
     products. Accepts arbitrary (including unstructured) instances; each
-    group is closed under inverses, so the value is real up to float error.
+    group is closed under inverses, so the sum is real up to float error,
+    and its real part is divided by the group order.
     """
     n = inst.n
     _check_kind_n(kind, n)
     gram = inst.gram()
     if kind is TestKind.PERMUTATION:
-        p = permanent(gram) / factorial(n)
+        total, order = permanent(gram), factorial(n)
     elif kind is TestKind.ALTERNATION:
-        p = (permanent(gram) + np.linalg.det(gram)) / factorial(n)
+        # twice the alternating sum over twice the alternating group's order
+        total, order = permanent(gram) + np.linalg.det(gram), factorial(n)
     else:
         cols = np.arange(n)
-        p = gram[cols, (cols + cols[:, None]) % n].prod(axis=1).mean()
-    if abs(p.imag) > FORMULA_IMAG_ATOL:
-        raise ArithmeticError(f"group average has imaginary part {p.imag:.3g}")
-    return float(p.real)
+        total, order = gram[cols, (cols + cols[:, None]) % n].prod(axis=1).sum(), n
+    if abs(total.imag / order) > FORMULA_IMAG_ATOL:
+        raise ArithmeticError(f"group average has imaginary part {total.imag / order:.3g}")
+    return float(total.real) / order
 
 
 def fixed_shifts(rows: np.ndarray, g: int) -> np.ndarray:

@@ -19,8 +19,8 @@ import os
 #: Default budget on a circuit's work, copies added times d^n, not memory.
 DEFAULT_MAX_AMPS = 2**24
 
-#: Input cap on n for the permutation and alternation tests (circuit,
-#: permanent formula and exact rationals) and for ps_lower_bound's permanent.
+#: Input cap on n for the permutation and alternation tests: their circuit,
+#: their permanent formula (which ps_lower_bound evaluates) and exact rationals.
 SYM_ENUM_MAX_N = 10
 
 #: The cyclic-shift test alone: its circuit, Gram formula and exact rationals.

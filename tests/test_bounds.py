@@ -244,8 +244,20 @@ class TestPsLowerBound:
             assert abs(ps_lower_bound(inst) - lex_ps_lower_bound(inst)) <= 1e-12
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        # the permutation test's own range and cap, since its formula evaluates the bound
+        with pytest.raises(CapExceededError,
+                           match="permutation and alternation tests capped at n=10, got 11"):
             ps_lower_bound(yes_instance(11))
+        with pytest.raises(ValueError, match="at least 2 states, got 1"):
+            ps_lower_bound(yes_instance(1))
+
+    def test_is_the_permutation_formula(self):
+        # one evaluator, so one rounding: the real part of perm(G) over n!
+        cases = [build_instance([0] + [1] * (n - 1), dim=2) for n in range(2, 9)]
+        cases += [random_unstructured_instance(n, 3, seed=90 + n) for n in range(2, 9)]
+        for inst in cases:
+            assert ps_lower_bound(inst) == equal_prob_formula(TestKind.PERMUTATION, inst)
+        assert ps_lower_bound(cases[4]) == 1 / 6
 
 
 class TestTwoSidedGap:

@@ -53,8 +53,7 @@ def orth_triple(tmp_path):
 
 class TestTestCommand:
     def test_swap_orthogonal_pair(self, capsys, orth_pair):
-        code, out, _ = run_cli(capsys, "test", "--kind", "swap", "--instance", orth_pair,
-                               "--seed", "1")
+        code, out, _ = run_cli(capsys, "test", "--kind", "swap", "--instance", orth_pair)
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["p_circuit"]) == pytest.approx(0.5, abs=1e-12)
@@ -64,7 +63,7 @@ class TestTestCommand:
 
     def test_circle_on_repeated_alignment(self, capsys, figure_instance):
         code, out, _ = run_cli(capsys, "test", "--kind", "circle", "--instance",
-                               figure_instance, "--mode", "formula", "--seed", "1")
+                               figure_instance, "--mode", "formula")
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["p_formula"]) == pytest.approx(0.25, abs=1e-12)
@@ -74,7 +73,7 @@ class TestTestCommand:
         path = tmp_path / "yes.json"
         path.write_text(json.dumps({"n": 3, "dim": 2, "partition": [[1, 2, 3]]}))
         code, out, _ = run_cli(capsys, "test", "--kind", "permutation",
-                               "--instance", str(path), "--seed", "1")
+                               "--instance", str(path))
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["p_circuit"]) == pytest.approx(1.0, abs=1e-12)
@@ -107,21 +106,29 @@ class TestTestCommand:
         assert "Traceback" not in proc.stderr
 
     def test_repeated_calls_print_the_same_bytes(self, capsys, tmp_path, orth_triple):
+        # only a Monte Carlo run draws, so only it records a seed
         rotated = tmp_path / "rotated.json"
         rotated.write_text(json.dumps(
             {"n": 3, "dim": 3, "partition": [[1, 3], [2]], "rotation_seed": 11}))
         _decode.cache_clear()
-        for argv in (
-            ("protocol", "srs", "--instance", orth_triple, "--m", "3", "--exact"),
-            ("protocol", "srs", "--instance", str(rotated), "--m", "4", "--trials", "500"),
-            ("test", "--kind", "permutation", "--mode", "both", "--instance", str(rotated)),
+        for argv, seed in (
+            (("protocol", "srs", "--instance", orth_triple, "--m", "3", "--exact"), ""),
+            (("protocol", "srs", "--instance", orth_triple, "--m", "3", "--exact",
+              "--seed", "1"), "1"),
+            (("protocol", "rcir", "--exact", "--n", "6", "--r", "2"), ""),
+            (("protocol", "srs", "--instance", str(rotated), "--m", "4", "--trials", "500",
+              "--seed", "1"), "1"),
+            (("test", "--kind", "permutation", "--mode", "both", "--instance", str(rotated)), ""),
+            (("sweep", "qbounds"), ""),
+            (("bounds", "gap"), ""),
         ):
             outs = []
             for _ in range(2):
-                code, out, _ = run_cli(capsys, *argv, "--seed", "1")
+                code, out, _ = run_cli(capsys, *argv)
                 assert code == 0
                 outs.append(out)
             assert outs[0] == outs[1] and outs[0]
+            assert {row["seed"] for row in parse_csv(outs[0])} == {seed}, argv
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 2, "dim": 2, "partition": [[1], [2]], "rotation_seed": 3.5}))
         for _ in range(2):
@@ -201,7 +208,7 @@ class TestTestCommand:
             cells = {}
             for name, path in files.items():
                 code, out, err = run_cli(capsys, "test", "--kind", kind, "--instance", str(path),
-                                         "--mode", "formula", "--seed", "1")
+                                         "--mode", "formula")
                 assert code == 0, err
                 cells[name] = parse_csv(out)[0]["p_rational"]
             want = {"circle": "1/4", "permutation": "1/12", "alternation": "1/12"}[kind]
@@ -241,15 +248,59 @@ class TestTestCommand:
                              "--out", str(target))
         assert code == 4
 
-    def test_json_record(self, capsys, orth_pair):
+    def test_json_record(self, capsys, orth_pair, tmp_path):
         code, out, _ = run_cli(capsys, "test", "--kind", "swap", "--instance", orth_pair,
-                               "--json", "--seed", "7")
+                               "--mode", "formula", "--json")
         assert code == 0
         record = json.loads(out)
         assert record["command"] == "test"
-        assert record["seed"] == 7
+        assert record["seed"] is None
         assert record["outputs"]["p_rational"] == "1/2"
+        assert record["outputs"]["p_circuit"] is None and record["outputs"]["abs_diff"] is None
         assert "wall_time_ms" in record and "run_id" in record
+        # a Monte Carlo run records its seed, and --out writes the --json record beside the CSV
+        argv = ("protocol", "rcir", "--n", "4", "--r", "2", "--trials", "100", "--seed", "7")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["seed"] == 7 and record["outputs"]["trials"] == 100
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "mc.csv"))
+        assert code == 0 and out == ""
+        sidecar = json.loads((tmp_path / "mc.csv.record.json").read_text())
+        assert sidecar.pop("wall_time_ms") >= 0 and record.pop("wall_time_ms") >= 0
+        assert sidecar == record
+
+    @pytest.mark.parametrize("command", [
+        ["test", "--kind", "swap"],
+        ["protocol", "rcir", "--exact"],
+    ])
+    def test_out_never_overwrites_the_instance(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"n": 2, "dim": 2, "partition": [[1], [2]]}))
+        before = path.read_bytes()
+        code, _, err = run_cli(capsys, *command, "--instance", str(path),
+                               "--out", str(tmp_path / "pair.csv"))
+        assert code == 0, err
+        assert path.read_bytes() == before
+        assert json.loads((tmp_path / "pair.csv.record.json").read_text())["command"] == command[0]
+        loop = tmp_path / "loop.csv"
+        loop.symlink_to(loop)
+        code, _, err = run_cli(capsys, *command, "--instance", str(path), "--out", str(loop))
+        assert code == 4 and "cannot write output" in err
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance loaded before the --out check")
+
+        monkeypatch.setattr("qsilab.cli._load", refuse)
+        record_named = tmp_path / "run.record.json"
+        record_named.write_bytes(before)
+        # --out names the instance, or its record file does
+        for instance, out in ((path, path), (record_named, tmp_path / "run")):
+            code, printed, err = run_cli(capsys, *command, "--instance", str(instance),
+                                         "--out", str(out))
+            assert code == 2 and printed == ""
+            assert err == f"error: --out {out} would overwrite the instance file {instance}\n"
+            assert instance.read_bytes() == before
 
 
 class TestProtocolCommand:
@@ -319,6 +370,13 @@ class TestProtocolCommand:
         _, out2, _ = run_cli(capsys, "protocol", "rcir", "--n", "4", "--r", "2",
                              "--trials", "500", "--seed", "3")
         assert out1 == out2
+        # a run given no seed draws one, prints it, and replays from it
+        argv = ("protocol", "rcir", "--n", "5", "--r", "2", "--trials", "500")
+        _, drawn, _ = run_cli(capsys, *argv)
+        seed = parse_csv(drawn)[0]["seed"]
+        assert seed.isdecimal()
+        _, replayed, _ = run_cli(capsys, *argv, "--seed", seed)
+        assert replayed == drawn
 
     def test_srs_exact_without_partition_names_it(self, capsys, tmp_path):
         path = tmp_path / "unstructured3.json"
@@ -463,7 +521,7 @@ class TestSweepCommand:
     def test_perm_soundness_rows(self, capsys, tmp_path):
         out_file = tmp_path / "perm.csv"
         code, _, _ = run_cli(capsys, "sweep", "perm-soundness", "--n-min", "2",
-                             "--n-max", "6", "--out", str(out_file), "--seed", "1")
+                             "--n-max", "6", "--out", str(out_file))
         assert code == 0
         rows = parse_csv(out_file.read_text())
         assert len(rows) == sum(n - 1 for n in range(2, 7))
@@ -475,24 +533,22 @@ class TestSweepCommand:
             assert Fraction(int(num), int(den)) == Fraction(
                 math.factorial(l) * math.factorial(n - l), math.factorial(n)
             )
-        sidecar = tmp_path / "perm.json"
-        assert sidecar.exists()
-        record = json.loads(sidecar.read_text())
-        assert record["record"]["command"] == "sweep"
-        assert len(record["rows"]) == len(rows)
+        record = json.loads((tmp_path / "perm.csv.record.json").read_text())
+        assert record["command"] == "sweep"
+        assert record["outputs"]["rows"] == len(rows)
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "sweep", "rcir-vs-bound", "--n-min", "2", "--n-max", "10",
-                "--out", str(a), "--seed", "5")
+                "--out", str(a))
         run_cli(capsys, "sweep", "rcir-vs-bound", "--n-min", "2", "--n-max", "10",
-                "--out", str(b), "--seed", "5")
+                "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_rcir_sweep_respects_bound(self, capsys, tmp_path):
         out_file = tmp_path / "rcir.csv"
         run_cli(capsys, "sweep", "rcir-vs-bound", "--n-min", "2", "--n-max", "12",
-                "--out", str(out_file), "--seed", "1")
+                "--out", str(out_file))
         rows = parse_csv(out_file.read_text())
         assert rows and all(row["within_bound"] == "true" for row in rows)
         for row in rows:
@@ -500,8 +556,7 @@ class TestSweepCommand:
 
     def test_srs_sweep_bound_column(self, capsys, tmp_path):
         out_file = tmp_path / "srs.csv"
-        run_cli(capsys, "sweep", "srs-vs-m", "--m-max", "5", "--out", str(out_file),
-                "--seed", "1")
+        run_cli(capsys, "sweep", "srs-vs-m", "--m-max", "5", "--out", str(out_file))
         rows = parse_csv(out_file.read_text())
         assert len(rows) == 5
         for row in rows:
@@ -509,8 +564,7 @@ class TestSweepCommand:
             assert float(row["two_identical_float"]) <= float(row["bound_float"])
 
     def test_srs_sweep_at_round_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "srs-vs-m", "--m-max", str(SRS_EXACT_MAX_M),
-                               "--seed", "1")
+        code, out, _ = run_cli(capsys, "sweep", "srs-vs-m", "--m-max", str(SRS_EXACT_MAX_M))
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == SRS_EXACT_MAX_M
@@ -524,7 +578,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr("qsilab.cli.srs_exact", refuse)
         code, _, err = run_cli(capsys, "sweep", "srs-vs-m",
-                               "--m-max", str(SRS_EXACT_MAX_M + 1), "--seed", "1")
+                               "--m-max", str(SRS_EXACT_MAX_M + 1))
         assert code == 3
         assert f"--m-max {SRS_EXACT_MAX_M + 1}" in err
 
@@ -545,30 +599,28 @@ class TestSweepCommand:
     )
     def test_sweep_header_order(self, capsys, argv, header):
         # DictReader ignores column order, so the header line is pinned as text
-        code, out, _ = run_cli(capsys, "sweep", *argv, "--seed", "1")
+        code, out, _ = run_cli(capsys, "sweep", *argv)
         assert code == 0
         assert out.splitlines()[0] == header + ",run_id,seed"
 
     def test_qbounds_adds_no_rows_below_n_4(self, capsys):
         # for n <= 3 no divisor s >= 2 of r <= n/2 exists
         def rows(n_min):
-            _, out, _ = run_cli(capsys, "sweep", "qbounds", "--n-min", n_min, "--n-max", "12",
-                                "--seed", "1")
+            _, out, _ = run_cli(capsys, "sweep", "qbounds", "--n-min", n_min, "--n-max", "12")
             return [dict(row, run_id=None) for row in parse_csv(out)]
 
         assert rows("1") == rows("4") != []
 
     def test_perm_soundness_above_n_cap_exits_3(self, capsys):
         n = str(RCIR_EXACT_MAX_N + 1)
-        code, out, err = run_cli(capsys, "sweep", "perm-soundness", "--n-min", n, "--n-max", n,
-                                 "--seed", "1")
+        code, out, err = run_cli(capsys, "sweep", "perm-soundness", "--n-min", n, "--n-max", n)
         assert code == 3
         assert out == "" and f"capped at n={RCIR_EXACT_MAX_N}" in err
 
     def test_qbounds_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "q.csv"
         run_cli(capsys, "sweep", "qbounds", "--n-min", "4", "--n-max", "16",
-                "--out", str(out_file), "--seed", "1")
+                "--out", str(out_file))
         rows = parse_csv(out_file.read_text())
         assert rows and all(row["holds"] == "true" for row in rows)
         assert all(row["case"] != "uncovered" for row in rows)
@@ -582,7 +634,7 @@ class TestSweepCommand:
         ],
     )
     def test_empty_grid_exits_2_naming_its_flags(self, capsys, argv, flags):
-        code, out, err = run_cli(capsys, "sweep", *argv, "--seed", "1")
+        code, out, err = run_cli(capsys, "sweep", *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: sweep {argv[0]} has no rows for {flags}\n"
@@ -590,22 +642,19 @@ class TestSweepCommand:
 
 class TestBoundsCommand:
     def test_two_block(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "two-block", "--n", "6", "--l", "3",
-                               "--seed", "1")
+        code, out, _ = run_cli(capsys, "bounds", "two-block", "--n", "6", "--l", "3")
         assert code == 0
         (row,) = parse_csv(out)
         assert row["value_rational"] == "1/20"
 
     def test_eq2(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "eq2", "--n", "4", "--r", "2",
-                               "--seed", "1")
+        code, out, _ = run_cli(capsys, "bounds", "eq2", "--n", "4", "--r", "2")
         assert code == 0
         (row,) = parse_csv(out)
         assert row["value_rational"] == "5/12"
 
     def test_q_with_case(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "q", "--n", "12", "--r", "6", "--s", "3",
-                               "--seed", "1")
+        code, out, _ = run_cli(capsys, "bounds", "q", "--n", "12", "--r", "6", "--s", "3")
         assert code == 0
         (row,) = parse_csv(out)
         assert row["value_rational"] == "1/616"
@@ -620,8 +669,7 @@ class TestBoundsCommand:
         ],
     )
     def test_exact_bounds_at_n_cap_print(self, capsys, argv):
-        code, out, _ = run_cli(capsys, "bounds", *argv, "--n", str(RCIR_EXACT_MAX_N),
-                               "--seed", "1")
+        code, out, _ = run_cli(capsys, "bounds", *argv, "--n", str(RCIR_EXACT_MAX_N))
         assert code == 0
         (row,) = parse_csv(out)
         assert Fraction(row["value_rational"]) > 0
@@ -635,8 +683,7 @@ class TestBoundsCommand:
         ],
     )
     def test_exact_bounds_above_n_cap_exit_3(self, capsys, argv):
-        code, _, err = run_cli(capsys, "bounds", *argv, "--n", str(RCIR_EXACT_MAX_N + 1),
-                               "--seed", "1")
+        code, _, err = run_cli(capsys, "bounds", *argv, "--n", str(RCIR_EXACT_MAX_N + 1))
         assert code == 3
         assert f"capped at n={RCIR_EXACT_MAX_N}" in err
 
@@ -654,20 +701,20 @@ class TestBoundsCommand:
         ],
     )
     def test_missing_flag_exits_2_naming_it(self, capsys, argv, flag):
-        code, out, err = run_cli(capsys, "bounds", *argv, "--seed", "1")
+        code, out, err = run_cli(capsys, "bounds", *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: bounds {argv[0]} needs {flag}\n"
 
     def test_gap(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "gap", "--seed", "1")
+        code, out, _ = run_cli(capsys, "bounds", "gap")
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["trace_dist"]) == pytest.approx(0.5, abs=1e-10)
         assert row["achieves_lower_bound"] == "true"
 
     def test_basel(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "basel", "--n", "6", "--seed", "1")
+        code, out, _ = run_cli(capsys, "bounds", "basel", "--n", "6")
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["pi2_over_6n"]) == pytest.approx(0.27416, abs=5e-6)
@@ -703,8 +750,8 @@ class TestMain:
         for name in ("_load", "srs_exact", "rcir_exact", "mc_run", "two_block_soundness"):
             monkeypatch.setattr(f"qsilab.cli.{name}", refuse)
         monkeypatch.setattr("qsilab.selftest.run_all", refuse)
-        if argv == ["selftest"]:
-            # selftest takes no --seed: the parser refuses it
+        if argv[0] != "protocol":
+            # only protocol draws anything and takes --seed: the parser refuses it elsewhere
             with pytest.raises(SystemExit) as refused:
                 main([*argv, "--seed", "-1"])
             assert refused.value.code == 2

@@ -795,6 +795,27 @@ class TestRcirExactForInstance:
             if len(sizes) == 2:
                 assert exact == rcir_exact(sizes[::-1]) == worst_merge_rcir(inst)
 
+    def test_worst_no_instance_has_two_blocks(self):
+        # over every partition of n <= 40 the largest soundness value is reached by
+        # two blocks, and no NO instance does better than the permutation test's 1/n
+        argmax = {}
+        for n in range(2, 41):
+            values = {tuple(sizes): rcir_exact(sizes) for sizes in _size_tuples(n)}
+            worst = max(values.values())
+            assert worst == max(v for shape, v in values.items() if len(shape) == 2), n
+            assert worst >= Fraction(1, n), n
+            argmax[n] = [shape for shape, v in values.items() if v == worst]
+        # reported, not asserted: the worst shapes at composite n, and those n where
+        # (n - p, p) is not among them, p the smallest prime factor
+        composite, off = {}, {}
+        for n, shapes in argmax.items():
+            p = next(p for p in range(2, n + 1) if n % p == 0)
+            if p < n:
+                composite[n] = shapes
+                if (n - p, p) not in shapes:
+                    off[n] = shapes
+        print(f"worst shapes at composite n: {composite}; not (n - p, p): {off or 'none'}")
+
     def test_block_order_and_labels_do_not_matter(self):
         a = build_instance(Partition.of([[1, 5], [2], [3, 4, 6]]).labels(), dim=3)
         b = build_instance(_consecutive_blocks([3, 2, 1]).labels(), dim=3)
