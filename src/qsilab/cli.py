@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: `test` (one identity test on an instance file), `protocol`
-(exact or Monte Carlo protocol runs), `sweep` (CSV tables over parameter
-grids), `bounds` (individual bound evaluations), and `selftest` (the full
-criteria suite).
+Subcommands: `test` (one identity test on an instance file), `protocol srs|rcir`
+(exact or Monte Carlo protocol runs), `sweep TARGET` (CSV tables over parameter
+grids), `bounds KIND` (one bound evaluation), and `selftest` (the criteria
+suite). Each leaf takes only the flags its run reads and refuses the rest.
 
 Output is CSV to --out or stdout, each row ending in `run_id` and `seed`;
 --json prints the run record instead, and --out also writes it to
@@ -89,13 +89,16 @@ def _write_csv(stream, rows: list[dict[str, Any]], record: RunRecord) -> None:
         writer.writerow([_cell(row[col]) for col in columns] + tail)
 
 
-def _load(path: str) -> QsiInstance:
+def _load(args) -> QsiInstance:
+    """Load --instance, and note a digest of its states in args for the run id."""
     try:
-        return load_instance(path)
+        inst = load_instance(args.instance)
     except CapExceededError:
         raise
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load instance {path}: {exc}") from exc
+        raise InputError(f"cannot load instance {args.instance}: {exc}") from exc
+    args.states_digest = [inst.n, inst.dim, hashlib.sha256(inst.states.tobytes()).hexdigest()]
+    return inst
 
 
 # --- subcommand runners ------------------------------------------------------
@@ -103,7 +106,7 @@ def _load(path: str) -> QsiInstance:
 
 def _cmd_test(args) -> list[dict]:
     kind = TestKind(args.kind)
-    inst = _load(args.instance)
+    inst = _load(args)
     circuit = run_circuit(kind, inst).p_equal if args.mode != "formula" else None
     formula = equal_prob_formula(kind, inst) if args.mode != "circuit" else None
     return [{
@@ -120,12 +123,12 @@ def _cmd_test(args) -> list[dict]:
 
 def _check_protocol_args(args) -> None:
     """Reject out-of-range or conflicting flags before any instance is loaded."""
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     if not args.exact and args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
-    if not args.exact and args.policy != "uniform":
-        raise InputError(
-            f"--policy {args.policy} needs --exact: Monte Carlo re-chooses pairs uniformly"
-        )
+    if not args.exact and args.policy == "canonical":
+        raise InputError("--policy canonical needs --exact: Monte Carlo re-chooses pairs uniformly")
     if args.protocol == "srs" and args.m < 1:
         raise InputError(f"--m must be at least 1, got {args.m}")
     if args.instance is not None:
@@ -133,8 +136,8 @@ def _check_protocol_args(args) -> None:
         if given:
             raise InputError(f"{given} cannot be given with --instance, which fixes the states")
         return
-    if args.protocol != "rcir" or args.n is None or args.r is None:
-        raise InputError("protocol needs --instance (or --n/--r for rcir)")
+    if args.n is None or args.r is None:
+        raise InputError("protocol rcir needs --instance, or --n and --r")
     if not 1 <= args.r <= args.n - 1:
         raise InputError(f"need 1 <= --r <= --n - 1, got --n {args.n} --r {args.r}")
     if args.n > RCIR_EXACT_MAX_N:
@@ -143,14 +146,14 @@ def _check_protocol_args(args) -> None:
 
 def _cmd_protocol(args) -> list[dict]:
     _check_protocol_args(args)
-    inst = _load(args.instance) if args.instance is not None else None
+    inst = _load(args) if args.instance is not None else None
     labels = promise_labels(inst) if inst is not None else (0,) * args.r + (1,) * (args.n - args.r)
     row: dict[str, Any] = {
         "protocol": args.protocol,
         "n": len(labels),
         "r": args.r,
-        "m": args.m if args.protocol == "srs" else None,
-        "policy": args.policy if args.protocol == "srs" else None,
+        "m": args.m,
+        "policy": args.policy,
         "mode": "exact" if args.exact else "mc",
     }
     if args.exact:
@@ -171,6 +174,7 @@ def _cmd_protocol(args) -> list[dict]:
 
 
 def _sweep_perm_soundness(args) -> list[dict]:
+    """two-block soundness 1/C(n, l) for every l, n in --n-min..--n-max"""
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         for l in range(1, n):
@@ -186,6 +190,7 @@ def _sweep_perm_soundness(args) -> list[dict]:
 
 
 def _sweep_rcir_vs_bound(args) -> list[dict]:
+    """exact randomized circle value on two blocks against the eq2 bound, r <= n/2"""
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         for r in range(1, n // 2 + 1):
@@ -205,6 +210,7 @@ def _sweep_rcir_vs_bound(args) -> list[dict]:
 
 
 def _sweep_srs_vs_m(args) -> list[dict]:
+    """exact sequential swap on two and three blocks against 1/3 + 4^(1-m), m <= --m-max"""
     if args.m_max > SRS_EXACT_MAX_M:
         raise CapExceededError(
             f"--m-max {args.m_max}: exact sequential swap capped at m={SRS_EXACT_MAX_M}"
@@ -227,6 +233,7 @@ def _sweep_srs_vs_m(args) -> list[dict]:
 
 
 def _sweep_qbounds(args) -> list[dict]:
+    """q(n, r, s) against its case bound for every common divisor s >= 2 of n and r"""
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         for r in range(1, n // 2 + 1):
@@ -267,38 +274,23 @@ def _cmd_sweep(args) -> list[dict]:
 
 
 def _cmd_bounds(args) -> list[dict]:
-    which = args.which
-    needs = {"two-block": "nl", "q": "nrs", "eq2": "nr", "basel": "n", "gap": ""}[which]
-    missing = " ".join(f"--{flag}" for flag in needs if getattr(args, flag) is None)
-    if missing:
-        raise InputError(f"bounds {which} needs {missing}")
-    row: dict[str, Any]
+    which, n = args.which, args.n
     if which == "two-block":
-        value = two_block_soundness(args.n, args.l)
-        row = {"bound": which, "n": args.n, "l": args.l,
-               "value_rational": _rat(value), "value_float": float(value),
-               "one_over_n_float": 1.0 / args.n}
-    elif which == "q":
-        value = q_value(args.n, args.r, args.s)
-        row = {"bound": which, "n": args.n, "r": args.r, "s": args.s,
-               "value_rational": _rat(value), "value_float": float(value),
-               "case": q_case(args.n, args.r, args.s)[0]}
-    elif which == "eq2":
-        value = eq2_bound(args.n, args.r)
-        row = {"bound": which, "n": args.n, "r": args.r,
-               "value_rational": _rat(value), "value_float": float(value)}
-    elif which == "basel":
-        row = {"bound": which, "n": args.n,
-               "pi2_over_6n": basel_asymptote(args.n), "loose_1_7_over_n": 1.7 / args.n}
-    else:  # gap
-        report = two_sided_gap_check()
-        row = {"bound": which,
-               "trace_dist": report.trace_dist,
-               "completeness_error": report.completeness_error,
-               "soundness_error": report.soundness_error,
-               "error_sum": report.error_sum,
-               "achieves_lower_bound": report.achieves_lower_bound}
-    return [row]
+        value = two_block_soundness(n, args.l)
+        return [{"bound": which, "n": n, "l": args.l, "value_rational": _rat(value),
+                 "value_float": float(value), "one_over_n_float": 1.0 / n}]
+    if which == "q":
+        value = q_value(n, args.r, args.s)
+        return [{"bound": which, "n": n, "r": args.r, "s": args.s, "value_rational": _rat(value),
+                 "value_float": float(value), "case": q_case(n, args.r, args.s)[0]}]
+    if which == "eq2":
+        value = eq2_bound(n, args.r)
+        return [{"bound": which, "n": n, "r": args.r, "value_rational": _rat(value),
+                 "value_float": float(value)}]
+    if which == "basel":
+        return [{"bound": which, "n": n, "pi2_over_6n": basel_asymptote(n),
+                 "loose_1_7_over_n": 1.7 / n}]
+    return [{"bound": which, **asdict(two_sided_gap_check())}]  # gap
 
 
 # --- wiring ------------------------------------------------------------------
@@ -310,55 +302,64 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qsilab",
         description="identity-testing lab: circuits, closed forms, protocols, bounds",
     )
-    # only protocol takes --seed, and only test and protocol read a file
-    parser.set_defaults(seed=None, instance=None)
+    # a flag a leaf lacks reads None: main reads every run's --seed and --instance,
+    # and the protocol runner reads both its leaves' flags
+    parser.set_defaults(seed=None, instance=None, n=None, r=None, m=None, policy=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # the flags every leaf takes
+    out.add_argument("--out", help="write CSV here, and the run record to OUT.record.json")
+    out.add_argument("--json", action="store_true", help="print the run record as JSON")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write CSV here, and the run record to OUT.record.json")
-        p.add_argument("--json", action="store_true", help="print the run record as JSON")
+    def leaves(command: str, help: str, dest: str):
+        return sub.add_parser(command, help=help).add_subparsers(dest=dest, required=True)
 
-    p_test = sub.add_parser("test", help="run one identity test on an instance file")
-    p_test.add_argument("--kind", required=True,
-                        choices=[k.value for k in TestKind])
-    p_test.add_argument("--instance", required=True, help="instance JSON file")
-    p_test.add_argument("--mode", choices=["circuit", "formula", "both"],
-                        default="both")
-    common(p_test)
+    def leaf(group, name: str, help: str) -> argparse.ArgumentParser:
+        return group.add_parser(name, parents=[out], help=help, description=help)
 
-    p_proto = sub.add_parser("protocol", help="run a protocol exactly or by sampling")
-    p_proto.add_argument("protocol", choices=["srs", "rcir"])
-    p_proto.add_argument("--instance", help="instance JSON file")
-    p_proto.add_argument("--n", type=int,
-                         help=f"cycle length, at most {RCIR_EXACT_MAX_N} (rcir without a file)")
-    p_proto.add_argument("--r", type=int, help="distinguished block size (rcir)")
-    p_proto.add_argument("--m", type=int, default=2, help="rounds (srs)")
-    p_proto.add_argument("--policy", choices=["uniform", "canonical"], default="uniform",
-                         help="pair re-choice policy (srs --exact); only echoed in the "
-                              "policy column, since the exact value is the same under both")
-    p_proto.add_argument("--exact", action="store_true", help="exact rational value")
-    p_proto.add_argument("--trials", type=int, default=10_000)
-    p_proto.add_argument("--seed", type=int,
-                         help="Monte Carlo seed, drawn when not given; --exact only echoes it")
-    common(p_proto)
+    p = leaf(sub, "test", "run one identity test on an instance file")
+    p.add_argument("--kind", required=True, choices=[k.value for k in TestKind])
+    p.add_argument("--instance", required=True, help="instance JSON file")
+    p.add_argument("--mode", choices=["circuit", "formula", "both"], default="both")
 
-    p_sweep = sub.add_parser("sweep", help="tabulate a quantity over a grid")
-    p_sweep.add_argument("target", choices=sorted(_SWEEPS))
-    p_sweep.add_argument("--n-min", type=int, default=2)
-    p_sweep.add_argument("--n-max", type=int, default=9)
-    p_sweep.add_argument("--m-max", type=int, default=6)
-    common(p_sweep)
+    protocols = leaves("protocol", "run a protocol exactly or by sampling", "protocol")
+    srs = leaf(protocols, "srs", "sequential random swap on the states of an instance file")
+    srs.add_argument("--instance", required=True, help="instance JSON file")
+    srs.add_argument("--m", type=int, default=2, help="rounds")
+    srs.add_argument("--policy", choices=["uniform", "canonical"], default="uniform",
+                     help="pair re-choice policy, --exact only; echoed, as both give one value")
+    rcir = leaf(protocols, "rcir", "randomized circle on the states of an instance file, "
+                "or on a cycle of --n states whose first --r form one block")
+    rcir.add_argument("--instance", help="instance JSON file")
+    rcir.add_argument("--n", type=int, help=f"cycle length, at most {RCIR_EXACT_MAX_N}")
+    rcir.add_argument("--r", type=int, help="distinguished block size")
+    for p in (srs, rcir):
+        p.add_argument("--exact", action="store_true", help="exact rational value")
+        p.add_argument("--trials", type=int, default=10_000)
+        p.add_argument("--seed", type=int,
+                       help="Monte Carlo seed, drawn when not given; --exact only echoes it")
 
-    p_bounds = sub.add_parser("bounds", help="evaluate one analytic bound")
-    p_bounds.add_argument("which", choices=["two-block", "q", "eq2", "basel", "gap"])
-    p_bounds.add_argument("--n", type=int)
-    p_bounds.add_argument("--l", type=int)
-    p_bounds.add_argument("--r", type=int)
-    p_bounds.add_argument("--s", type=int)
-    common(p_bounds)
+    sweeps = leaves("sweep", "tabulate a quantity over a grid", "target")
+    for target, run in _SWEEPS.items():
+        p = leaf(sweeps, target, run.__doc__)
+        if target == "srs-vs-m":
+            p.add_argument("--m-max", type=int, default=6)
+        else:
+            p.add_argument("--n-min", type=int, default=2)
+            p.add_argument("--n-max", type=int, default=9)
+
+    bounds = leaves("bounds", "evaluate one analytic bound", "which")
+    for which, flags, help in (
+        ("two-block", "nl", "soundness 1/C(n, l) of a split of n states into l and n-l"),
+        ("q", "nrs", "per-divisor term q(n, r, s) and the case of its bound"),
+        ("eq2", "nr", "randomized circle soundness bound: 1/n plus q(n, r, s) over s >= 2"),
+        ("basel", "n", "asymptote pi^2/(6n) of the eq2 bound, beside 1.7/n"),
+        ("gap", "", "swap test against the two-sided error bound on two qubit pairs"),
+    ):
+        p = leaf(bounds, which, help)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int, required=True)
 
     sub.add_parser("selftest", help="run the full criteria suite")
-
     return parser
 
 
@@ -407,9 +408,6 @@ def main(argv: list[str] | None = None) -> int:
         from . import selftest  # only this command needs the criteria
 
         return 0 if selftest.run_all() else 1
-    if args.seed is not None and args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return 2
 
     params = _params_of(args)
     started = time.perf_counter()
@@ -423,13 +421,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall_ms = int(round((time.perf_counter() - started) * 1000))
+    # the id names the states an --instance run loaded, not the path it loaded them by
+    key = params if args.instance is None else {**params, "instance": args.states_digest}
     record = RunRecord(
         command=args.command,
         params=params,
         outputs={"rows": len(rows)} if args.command == "sweep" else rows[0],
         seed=args.seed,
         wall_time_ms=wall_ms,
-        run_id=_run_id(args.command, params, args.seed),
+        run_id=_run_id(args.command, key, args.seed),
     )
     try:
         _emit(args, rows, record)

@@ -169,9 +169,10 @@ def instance_from_json(obj) -> QsiInstance:
 
     n, dim, the partition entries and rotation_seed must be integers, and an
     object may not carry both a partition and states. The blocks must be
-    nonempty, disjoint and cover 1..n; the members of the i-th block listed
-    get label i, so that they become basis state e_i, or column i of the
-    rotation.
+    nonempty, disjoint and cover 1..n: the entries as listed are n distinct
+    indices within 1..n, checked in memory proportional to the file and not
+    to n. The members of the i-th block listed get label i, so that they
+    become basis state e_i, or column i of the rotation.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
@@ -186,9 +187,7 @@ def instance_from_json(obj) -> QsiInstance:
         raise ValueError("instance JSON has both 'partition' and 'states'; give one")
     if "partition" in obj:
         try:
-            blocks = tuple(
-                frozenset(_integer(i, "partition entry") for i in b) for b in obj["partition"]
-            )
+            blocks = [[_integer(i, "partition entry") for i in b] for b in obj["partition"]]
             seed = obj.get("rotation_seed")
             seed = None if seed is None else _integer(seed, "rotation_seed")
         except (TypeError, ValueError) as exc:
@@ -196,10 +195,11 @@ def instance_from_json(obj) -> QsiInstance:
         rotation = None if seed is None else haar_unitary(dim, seed)
         if not all(blocks):
             raise ValueError("partition blocks must be nonempty")
-        union = frozenset().union(*blocks)
-        if sum(map(len, blocks)) != len(union):
-            raise ValueError("partition blocks must be disjoint")
-        if union != set(range(1, n + 1)):
+        entries = [i for block in blocks for i in block]
+        union = set(entries)
+        if len(entries) != len(union):
+            raise ValueError("partition blocks must be disjoint, and list no index twice")
+        if len(union) != n or not all(1 <= i <= n for i in union):
             raise ValueError(f"blocks must cover 1..{n} exactly, got {sorted(union)}")
         labels = [0] * n
         for label, block in enumerate(blocks):

@@ -2,16 +2,23 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qsilab import selftest
+import qsilab
+from qsilab import cli, selftest
 from qsilab.cli import _build_parser, main
 from qsilab.instances import QsiInstance, _decode, instance_from_json, random_unstructured_instance
 from qsilab.limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "qsibench"))
+
+import workloads  # noqa: E402  (the benchmark's op lists, each op with its output check)
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +30,21 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+class ReadRecorder:
+    """Stands in for a runner's argparse namespace and notes each attribute read."""
+
+    def __init__(self, args, read: set):
+        object.__setattr__(self, "_args", args)
+        object.__setattr__(self, "_read", read)
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._args, name)
+
+    def __setattr__(self, name, value):
+        setattr(self._args, name, value)
 
 
 @pytest.fixture
@@ -104,6 +126,52 @@ class TestTestCommand:
         assert proc.returncode == 2, proc.stderr
         assert "cannot load instance" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("payload,message", [
+        # 51 bytes that name 10^8 states
+        ({"n": 100_000_000, "dim": 2, "partition": [[1], [2]]},
+         "blocks must cover 1..100000000 exactly, got [1, 2]"),
+        ({"n": 2, "dim": 2, "partition": [[1, 1], [2]]}, "partition blocks must be disjoint"),
+    ])
+    def test_partition_entries_checked_as_listed(self, tmp_path, payload, message):
+        # under a 1 GiB address-space cap: a decoder that builds 1..n fails there
+        # (exit 3, out of memory) instead of filling the machine
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(payload))
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qsilab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "test", "--kind", "swap", "--instance", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_run_id_names_the_states_not_the_path(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        pair = tmp_path / "p2.json"
+        pair.write_text(json.dumps({"n": 2, "dim": 2, "partition": [[1], [2]]}))
+        (tmp_path / "states.json").write_text(json.dumps(
+            {"n": 2, "dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+
+        def record(path):
+            code, out, err = run_cli(capsys, "test", "--kind", "swap", "--instance", path, "--json")
+            assert code == 0, err
+            return json.loads(out)
+
+        paths = ["p2.json", "./p2.json", str(pair), "states.json"]
+        records = [record(path) for path in paths]
+        assert [rec["params"]["instance"] for rec in records] == paths
+        assert len({rec["run_id"] for rec in records}) == 1
+        pair.write_text(json.dumps({"n": 2, "dim": 2, "partition": [[1, 2]]}))
+        rewritten = record("p2.json")
+        assert rewritten["outputs"]["p_rational"] == "1/1"
+        assert rewritten["run_id"] != records[0]["run_id"]
 
     def test_repeated_calls_print_the_same_bytes(self, capsys, tmp_path, orth_triple):
         # only a Monte Carlo run draws, so only it records a seed
@@ -415,7 +483,7 @@ class TestProtocolCommand:
             (["rcir", "--n", "5", "--r", "0", "--exact"], 2, "--r"),
             (["rcir", "--n", "200000", "--r", "2"], 3, "--n"),
             (["rcir", "--instance", "x.json", "--n", "50", "--r", "7", "--exact"], 2, "--n --r"),
-            (["srs", "--instance", "x.json", "--r", "7"], 2, "--r"),
+            (["rcir", "--instance", "x.json", "--r", "7"], 2, "--r"),
         ],
     )
     def test_bounds_checked_before_any_work(self, capsys, monkeypatch, argv, code, flag):
@@ -511,8 +579,14 @@ class TestProtocolCommand:
         assert row["policy"] == "canonical" and row["value_rational"] == "1/4"
 
     def test_missing_inputs_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "protocol", "srs", "--exact")
+        with pytest.raises(SystemExit) as refused:  # srs reads its states from a file
+            main(["protocol", "srs", "--exact"])
+        assert refused.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: --instance\n")
+        code, _, err = run_cli(capsys, "protocol", "rcir", "--exact")
         assert code == 2
+        assert err == "error: protocol rcir needs --instance, or --n and --r\n"
         code, _, _ = run_cli(capsys, "protocol", "rcir", "--n", "4", "--r", "4", "--exact")
         assert code == 2
 
@@ -701,10 +775,12 @@ class TestBoundsCommand:
         ],
     )
     def test_missing_flag_exits_2_naming_it(self, capsys, argv, flag):
-        code, out, err = run_cli(capsys, "bounds", *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: bounds {argv[0]} needs {flag}\n"
+        with pytest.raises(SystemExit) as refused:
+            main(["bounds", *argv])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: the following arguments are required: {flag}\n")
 
     def test_gap(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "gap")
@@ -764,18 +840,89 @@ class TestMain:
         assert out == ""
         assert err == "error: --seed must be non-negative, got -1\n"
 
-    @pytest.mark.parametrize("flags", [["--out", "F"], ["--json"], ["--seed", "3"]])
-    def test_selftest_refuses_output_and_seed_flags(self, capsys, monkeypatch, tmp_path, flags):
+    @pytest.mark.parametrize(
+        "leaf,flags",
+        [
+            (["selftest"], ["--out", "F"]),
+            (["selftest"], ["--json"]),
+            (["selftest"], ["--seed", "3"]),
+            # flags that a sibling leaf takes
+            (["protocol", "rcir", "--n", "6", "--r", "2", "--exact"], ["--m", "3"]),
+            (["protocol", "srs", "--instance", "x.json", "--exact"], ["--r", "1"]),
+            (["sweep", "qbounds"], ["--m-max", "9"]),
+            (["bounds", "gap"], ["--n", "4"]),
+        ],
+    )
+    def test_leaf_refuses_flags_it_does_not_take(self, capsys, monkeypatch, tmp_path, leaf,
+                                                 flags):
         def refuse(*args, **kwargs):
-            raise AssertionError("selftest ran with a flag it ignores")
+            raise AssertionError("a run started with a flag it ignores")
 
         monkeypatch.setattr("qsilab.selftest.run_all", refuse)
+        for command in cli._RUNNERS:
+            monkeypatch.setitem(cli._RUNNERS, command, refuse)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as refused:
-            main(["selftest", *flags])
+            main([*leaf, *flags])
         assert refused.value.code == 2
-        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(flags)}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--kind", "swap", "--instance", "PAIR", "--mode", "formula"],
+            ["protocol", "srs", "--instance", "TRIPLE", "--m", "3", "--policy", "canonical",
+             "--exact", "--trials", "5", "--seed", "1"],
+            ["protocol", "srs", "--instance", "TRIPLE", "--m", "2", "--trials", "50"],
+            ["protocol", "rcir", "--n", "6", "--r", "2", "--exact"],
+            ["protocol", "rcir", "--instance", "TRIPLE", "--trials", "50", "--seed", "1"],
+            ["sweep", "perm-soundness"],
+            ["sweep", "rcir-vs-bound", "--n-max", "5"],
+            ["sweep", "srs-vs-m", "--m-max", "2"],
+            ["sweep", "qbounds", "--n-min", "4"],
+            ["bounds", "two-block", "--n", "5", "--l", "2"],
+            ["bounds", "q", "--n", "12", "--r", "6", "--s", "3"],
+            ["bounds", "eq2", "--n", "4", "--r", "2"],
+            ["bounds", "basel", "--n", "6"],
+            ["bounds", "gap"],
+        ],
+        ids=" ".join,
+    )
+    def test_params_hold_only_what_the_run_read(self, capsys, monkeypatch, orth_pair,
+                                                orth_triple, argv):
+        argv = [{"PAIR": orth_pair, "TRIPLE": orth_triple}.get(arg, arg) for arg in argv]
+        read: set[str] = set()
+        runner = cli._RUNNERS[argv[0]]
+        monkeypatch.setitem(cli._RUNNERS, argv[0], lambda args: runner(ReadRecorder(args, read)))
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 0, err
+        params = json.loads(out)["params"]
+        # an exact run echoes --trials (and --seed, which params leave out) unread
+        echoed = {"trials"} if "--exact" in argv else set()
+        assert set(params) - echoed <= read, sorted(set(params) - read)
+
+    @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+    def test_benchmark_ops_pass_in_process(self, capsys, monkeypatch, tmp_path, name):
+        # one pass of the seed-1 op list, run the way qsibench/worker.py runs it
+        (tmp_path / "work").mkdir()
+        wl = workloads.build(name, 1, tmp_path / "work", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        failures = []
+        for op in wl.ops:
+            try:
+                if op.call == "cli":
+                    code = main(op.argv)
+                    out = capsys.readouterr().out
+                else:
+                    code, out = 0, repr(qsilab.ps_lower_bound(qsilab.load_instance(op.argv[0])))
+            except SystemExit as stop:
+                code, out = stop.code, capsys.readouterr().out
+            problems = op.check(out) if code == 0 else []
+            if code != 0 or problems:
+                failures.append((op.argv, code, problems))
+        assert wl.ops and failures == []
 
     def test_failing_selftest_criterion_exits_1(self, capsys, monkeypatch):
         def failing():
