@@ -211,10 +211,6 @@ def _sweep_rcir_vs_bound(args) -> list[dict]:
 
 def _sweep_srs_vs_m(args) -> list[dict]:
     """exact sequential swap on two and three blocks against 1/3 + 4^(1-m), m <= --m-max"""
-    if args.m_max > SRS_EXACT_MAX_M:
-        raise CapExceededError(
-            f"--m-max {args.m_max}: exact sequential swap capped at m={SRS_EXACT_MAX_M}"
-        )
     rows = []
     for m in range(1, args.m_max + 1):
         ti, ao = srs_exact([2, 1], m), srs_exact([1, 1, 1], m)
@@ -265,10 +261,16 @@ _SWEEPS = {
 
 
 def _cmd_sweep(args) -> list[dict]:
+    # every sweep cap, checked on the last point of a non-empty grid before any row
+    if args.target == "srs-vs-m":
+        flags, var, top, cap = f"--m-max {args.m_max}", "m", args.m_max, SRS_EXACT_MAX_M
+    else:
+        flags = f"--n-min {args.n_min} --n-max {args.n_max}"
+        var, top, cap = "n", args.n_max if args.n_min <= args.n_max else 0, RCIR_EXACT_MAX_N
+    if top > cap:
+        raise CapExceededError(f"--{var}-max {top}: sweep {args.target} capped at {var}={cap}")
     rows = _SWEEPS[args.target](args)
     if not rows:
-        flags = (f"--m-max {args.m_max}" if args.target == "srs-vs-m"
-                 else f"--n-min {args.n_min} --n-max {args.n_max}")
         raise InputError(f"sweep {args.target} has no rows for {flags}")
     return rows
 

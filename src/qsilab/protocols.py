@@ -4,8 +4,8 @@ Two protocols are implemented, each as a batch of sampled runs with
 measurement collapse and as an exact-probability evaluator of the promise
 block sizes, the only part of an instance the exact value depends on. The
 blocks are those the states define: ``promise_labels`` is the instance's
-label row (``QsiInstance.labels``, read off its Gram matrix), and the sizes
-are its ``np.bincount``:
+label row (``QsiInstance.labels``, each state compared with one
+representative per block), and the sizes are its ``np.bincount``:
 
 * sequential random swap on three states: m rounds of swap tests on
   classically chosen register pairs, collapsing the joint state between

@@ -1,12 +1,13 @@
 """Shared builders for the test suite."""
 
 import os
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsilab.instances import build_instance
+from qsilab.instances import QsiInstance, build_instance
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -17,6 +18,22 @@ def _subprocesses_import_src():
         patch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"),
                      prepend=os.pathsep)
         yield
+
+
+def count_label_rows(monkeypatch) -> list[int]:
+    """Patch ``QsiInstance.labels`` to note the n of each instance whose label
+    row it computes; reads of a cached row are not noted."""
+    calls: list[int] = []
+    compute = QsiInstance.labels.func
+
+    def counted(inst):
+        calls.append(inst.n)
+        return compute(inst)
+
+    labels = cached_property(counted)
+    labels.__set_name__(QsiInstance, "labels")
+    monkeypatch.setattr(QsiInstance, "labels", labels)
+    return calls
 
 
 def two_block(n: int, l: int, dim: int = 2, rotation=None):

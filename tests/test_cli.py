@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,8 +14,10 @@ import pytest
 import qsilab
 from qsilab import cli, selftest
 from qsilab.cli import _build_parser, main
-from qsilab.instances import QsiInstance, _decode, instance_from_json, random_unstructured_instance
+from qsilab.instances import _decode, instance_from_json, random_unstructured_instance
 from qsilab.limits import RCIR_EXACT_MAX_N, SRS_EXACT_MAX_M
+
+from conftest import count_label_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "qsibench"))
 
@@ -25,6 +28,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_under_1gib(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess under a 1 GiB address-space cap, where a run that
+    allocates far beyond its inputs exits 3 (out of memory) instead of filling
+    the machine."""
+    probe = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from qsilab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
 
 
 def parse_csv(text):
@@ -134,23 +153,29 @@ class TestTestCommand:
         ({"n": 2, "dim": 2, "partition": [[1, 1], [2]]}, "partition blocks must be disjoint"),
     ])
     def test_partition_entries_checked_as_listed(self, tmp_path, payload, message):
-        # under a 1 GiB address-space cap: a decoder that builds 1..n fails there
-        # (exit 3, out of memory) instead of filling the machine
+        # a decoder that builds 1..n runs out of memory here
         path = tmp_path / "partition.json"
         path.write_text(json.dumps(payload))
-        probe = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from qsilab.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, "test", "--kind", "swap", "--instance", str(path)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        proc = run_under_1gib("test", "--kind", "swap", "--instance", str(path))
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_blocks_checked_before_the_rotation_is_drawn(self, tmp_path):
+        # the 20000 x 20000 Haar draw alone would take 2.98 GiB
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps({"n": 2, "dim": 20_000, "partition": [[1], [1]],
+                                    "rotation_seed": 1}))
+        proc = run_under_1gib("test", "--kind", "swap", "--instance", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "partition blocks must be disjoint" in proc.stderr
+
+    def test_partition_file_costs_what_its_states_cost(self, tmp_path):
+        # two states of dim 10^5 take 3.2 MB, rows of the dim x dim identity 149 GiB
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 2, "dim": 100_000, "partition": [[1], [2]]}))
+        proc = run_under_1gib("test", "--kind", "swap", "--mode", "formula", "--instance", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert parse_csv(proc.stdout)[0]["p_rational"] == "1/2"
 
     def test_run_id_names_the_states_not_the_path(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
@@ -234,19 +259,17 @@ class TestTestCommand:
         assert code == 3
         assert out == "" and err == f"error: {cap}\n"
 
-    def test_refused_load_builds_no_gram_matrix(self, capsys, tmp_path, monkeypatch):
-        # the labels are read off the Gram matrix only when a command asks for them
-        def refuse(inst):
-            raise AssertionError("Gram matrix built")
-
+    def test_refused_load_computes_no_labels(self, capsys, tmp_path, monkeypatch):
+        # the label row is computed only when a command asks for it
         path = tmp_path / "n30.json"
         path.write_text(json.dumps({"n": 30, "dim": 2, "partition": [list(range(1, 16)),
                                                                      list(range(16, 31))]}))
         _decode.cache_clear()
-        monkeypatch.setattr(QsiInstance, "gram", refuse)
+        calls = count_label_rows(monkeypatch)
         code, out, err = run_cli(capsys, "test", "--kind", "circle", "--instance", str(path))
         assert code == 3
         assert out == "" and err == "error: circle test capped at n=24, got 30\n"
+        assert calls == []
 
     def test_empty_partition_exits_2_naming_the_shape(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -425,6 +448,18 @@ class TestProtocolCommand:
         code, peak_kb = map(int, proc.stdout.split())
         assert code == 0, proc.stderr
         assert peak_kb < 200 * 1024
+
+    def test_rcir_exact_on_a_file_at_cap_stays_small(self, capsys, tmp_path):
+        # a rotated two-block file of 10^4 states: its label row once took an
+        # n x n Gram matrix and 2.3 GB
+        n = RCIR_EXACT_MAX_N
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps({"n": n, "dim": 2, "rotation_seed": 5, "partition": [
+            list(range(1, n + 1, 2)), list(range(2, n + 1, 2))]}))
+        proc = run_under_1gib("protocol", "rcir", "--exact", "--instance", str(path))
+        assert proc.returncode == 0, proc.stderr
+        _, out, _ = run_cli(capsys, "protocol", "rcir", "--exact", "--n", str(n), "--r", str(n // 2))
+        assert parse_csv(proc.stdout)[0]["value_rational"] == parse_csv(out)[0]["value_rational"]
 
     def test_rcir_monte_carlo_above_cap_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "protocol", "rcir", "--n", str(RCIR_EXACT_MAX_N + 1),
@@ -690,6 +725,23 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "perm-soundness", "--n-min", n, "--n-max", n)
         assert code == 3
         assert out == "" and f"capped at n={RCIR_EXACT_MAX_N}" in err
+
+    @pytest.mark.parametrize("target,n_min", [
+        ("perm-soundness", 9990), ("rcir-vs-bound", 9999), ("qbounds", 9999),
+    ])
+    def test_n_grid_above_cap_exits_3_before_any_row(self, capsys, monkeypatch, target, n_min):
+        # every row below the cap once took 13-117 s to build before the cap was refused
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was computed before the cap check")
+
+        for name in ("two_block_soundness", "rcir_exact", "q_value"):
+            monkeypatch.setattr(f"qsilab.cli.{name}", refuse)
+        n_max = str(RCIR_EXACT_MAX_N + 1)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", target, "--n-min", str(n_min), "--n-max", n_max)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        assert err == f"error: --n-max {n_max}: sweep {target} capped at n={RCIR_EXACT_MAX_N}\n"
 
     def test_qbounds_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "q.csv"

@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsilab
 
@@ -201,10 +203,36 @@ class TestLabels:
         assert (inst.labels is None) == (equal_pairs(inst) is None)
         assert (None if inst.labels is None else inst.labels.tolist()) == want
 
-    def test_nan_modulus_breaks_the_promise(self, monkeypatch):
+    def test_nan_modulus_breaks_the_promise(self):
+        # the constructor refuses NaN norms, so the NaN goes into a built instance
         inst = QsiInstance((basis_state(2, 0), basis_state(2, 1)))
-        monkeypatch.setattr(QsiInstance, "gram", lambda self: np.array([[1, np.nan], [np.nan, 1]]))
+        states = np.array([[1, 0], [np.nan, 1]], dtype=complex)
+        states.setflags(write=False)
+        object.__setattr__(inst, "states", states)
         assert inst.labels is None and equal_pairs(inst) is None
+
+    def test_promise_checked_against_representatives(self):
+        # x and y are each within PROMISE_ATOL of a's modulus 1, and 1.8e-9 short of
+        # it with each other: labels checks only against a, equal_pairs every pair
+        eps = np.sqrt(0.9e-9)
+        inst = QsiInstance((basis_state(2, 0), unit([1, eps]), unit([1, -eps])))
+        assert inst.labels.tolist() == [0, 0, 0]
+        assert equal_pairs(inst) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from([1e-12, 1e-6]))
+    def test_labels_agree_with_equal_pairs_away_from_the_tolerance(self, n, seed, noise):
+        # noise far inside or far outside PROMISE_ATOL: the labels are the
+        # partition's exactly when the all-pairs check keeps the promise
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        dim = int(raw.max()) + 2
+        states = build_instance(raw.tolist(), dim, haar_unitary(dim, seed)).states
+        states = np.exp(2j * np.pi * rng.random(n))[:, None] * states
+        states = states + noise * (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+        inst = QsiInstance(states / np.linalg.norm(states, axis=1, keepdims=True))
+        agree = inst.labels is not None and inst.labels.tolist() == first_member_labels(raw)
+        assert agree == (equal_pairs(inst) is not None), (n, seed, noise)
 
     def test_phased_and_permuted_copies_match_the_partition(self):
         rng = np.random.default_rng(21)

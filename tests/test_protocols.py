@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_orthogonal, two_block, yes_instance
+from conftest import all_orthogonal, count_label_rows, two_block, yes_instance
 from oracles import (
     Alignment,
     Partition,
@@ -612,28 +612,19 @@ class TestPromiseLabels:
     def test_partition_labels(self, monkeypatch):
         # a partition file's labels come from its states: classes numbered by first member
         inst = build_instance(Partition.of([[2, 4], [1, 3]]).labels(), dim=2)
-        calls = []
-        gram = QsiInstance.gram
-        monkeypatch.setattr(QsiInstance, "gram", lambda self: calls.append(self.n) or gram(self))
+        calls = count_label_rows(monkeypatch)
         assert promise_labels(inst).tolist() == [0, 1, 0, 1]
         assert promise_labels(inst) is promise_labels(inst)
         assert calls == [4]
 
-    def test_gram_built_once(self, monkeypatch):
-        # at most one Gram matrix per instance, however often the labels are read
-        calls = []
-        gram = QsiInstance.gram
-
-        def counted(inst):
-            calls.append(inst.n)
-            return gram(inst)
-
+    def test_labels_computed_once(self, monkeypatch):
+        # one label row per instance, however often the labels are read
         part = Partition.of([[1, 3], [2]])
         rotated = build_instance(part.labels(), dim=3, rotation=haar_unitary(3, seed=4))
         states_only = QsiInstance(rotated.states)
         plus = np.array([1, 1, 0]) / np.sqrt(2)
         broken = QsiInstance([*rotated.states[:2], plus])
-        monkeypatch.setattr(QsiInstance, "gram", counted)
+        calls = count_label_rows(monkeypatch)
         for _ in range(3):
             assert promise_labels(states_only).tolist() == [0, 1, 0]
         assert calls == [3]
@@ -641,7 +632,7 @@ class TestPromiseLabels:
             with pytest.raises(ValueError, match="violates the equal-or-orthogonal promise"):
                 promise_labels(broken)
         assert calls == [3, 3]
-        # sampling reads the labels in every block, and builds one Gram matrix in all
+        # sampling reads the labels in every block, and computes them once in all
         for seed in range(3):
             srs_batch(rotated, 4, np.random.default_rng(seed), 64)
         assert calls == [3, 3, 3]
@@ -907,3 +898,54 @@ class TestMcRun:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             mc_run(lambda rng, k: np.ones(k, dtype=bool), 0, base_seed=0)
+
+
+def _binomial_pmf(trials: int, p: float) -> np.ndarray:
+    """P(X = x) for x = 0..trials, X ~ Binomial(trials, p), from log-gammas."""
+    x = np.arange(trials + 1)
+    log_comb = math.lgamma(trials + 1) - np.array(
+        [math.lgamma(k + 1) + math.lgamma(trials - k + 1) for k in x])
+    return np.exp(log_comb + x * math.log(p) + (trials - x) * math.log1p(-p))
+
+
+class TestMcCalibration:
+    """Monte Carlo runs over consecutive base seeds, against the exact value.
+
+    Each case runs SEEDS base seeds of TRIALS = 2 * MC_BLOCK trials, so every
+    run spans two blocks. Three checks, each within 5 standard errors: the
+    share of Wilson intervals that hold the exact value against the exact
+    binomial coverage of those intervals; the chi-square of the success
+    counts, the sum of their squared z-scores, against its SEEDS degrees of
+    freedom; and the lag-1 correlation of the z-scores of consecutive seeds
+    against 0. The last is the case to catch: an ``mc_run`` that seeded block
+    b by ``default_rng(base_seed + block)`` would draw seed s's second block
+    from seed s + 1's first stream, a lag-1 correlation near 0.5.
+    """
+
+    SEEDS, TRIALS = 400, 2 * MC_BLOCK
+
+    @pytest.mark.parametrize("case", ["rcir n=6 r=2", "srs [2, 1] m=3", "srs [1, 1, 1] m=8"])
+    def test_calibrated_across_seeds(self, case):
+        sample, p = {
+            "rcir n=6 r=2": (lambda rng, k: rcir_batch([0, 0, 1, 1, 1, 1], rng, k),
+                             rcir_exact([2, 4])),
+            "srs [2, 1] m=3": (lambda rng, k: srs_batch(TWO_IDENT, 3, rng, k),
+                               srs_exact([2, 1], 3)),
+            "srs [1, 1, 1] m=8": (lambda rng, k: srs_batch(ALL_ORTH, 8, rng, k),
+                                  srs_exact([1, 1, 1], 8)),
+        }[case]
+        seeds, trials, p = self.SEEDS, self.TRIALS, float(p)
+        runs = [mc_run(sample, trials, base_seed=seed) for seed in range(seeds)]
+
+        pmf = _binomial_pmf(trials, p)
+        intervals = [wilson_interval(x, trials) for x in range(trials + 1)]
+        coverage = float(pmf[[lo <= p <= hi for lo, hi in intervals]].sum())
+        seen = np.mean([run.ci95[0] <= p <= run.ci95[1] for run in runs])
+        assert abs(seen - coverage) <= 5 * math.sqrt(coverage * (1 - coverage) / seeds)
+
+        pq = p * (1 - p)
+        z = (np.array([run.successes for run in runs]) - trials * p) / math.sqrt(trials * pq)
+        var_z2 = 2 + (1 - 6 * pq) / (trials * pq)  # Var(z^2) of a binomial z-score
+        assert abs(float(z @ z) - seeds) <= 5 * math.sqrt(seeds * var_z2)
+
+        assert abs(float(z[:-1] @ z[1:]) / (seeds - 1)) <= 5 / math.sqrt(seeds - 1)
